@@ -7,15 +7,12 @@ BRSMN frames, plus the underlying kernels, and regenerates:
 * ``benchmarks/out/fast_engine.txt`` — the human-readable speedup
   table;
 * ``BENCH_fast_engine.json`` at the repo root — machine-readable
-  (n, reference ms, fast ms, batch throughput, plus a ``parallel``
-  section: warm/cold frames/s at 1/2/4 workers with p50/p95, the
-  host's cpu_count, and a cold-cache single-flight demonstration, plus
-  a ``process`` section with the same shape for the multiprocess
-  executor and its object-dtype speedup over threads) so future PRs
-  can track the perf trajectory
-  (``scripts/check_bench_regression.py`` gates on it in CI — the
-  thread gate by default, the process gate with ``--executor
-  process``).
+  (a ``host`` block with cores, Python and NumPy versions; n,
+  reference ms, fast ms, batch throughput; a ``parallel`` section with
+  the single-worker ``route_batch`` warm/cold frames/s at n = 1024 with
+  p50/p95 and a cold-cache single-flight probe of the plan cache; and
+  a ``cluster`` section) so future PRs can track the perf trajectory
+  (``scripts/check_bench_regression.py`` gates on it in CI).
 
 All timings are min-of-k with a warmup iteration: the *minimum* over k
 repeats is the standard low-noise estimator for CPU-bound code (any
@@ -29,6 +26,7 @@ import json
 import math
 import os
 import pathlib
+import platform
 import random
 import threading
 import time
@@ -70,8 +68,8 @@ def timing_stats(fn, *, k=7, warmup=1):
     """Min / p50 / p95 wall-clock seconds of ``fn()`` over ``k`` repeats.
 
     Min is the low-noise steady-state estimator; the percentiles make
-    jitter visible — for the parallel engine that jitter *is* the
-    signal (compile stalls, pool scheduling), so the bench reports both.
+    jitter (compile stalls, scheduling) visible, so the bench reports
+    both.
     """
     for _ in range(warmup):
         fn()
@@ -96,7 +94,15 @@ def _binary_tags(n, seed):
 def test_end_to_end_speedup(write_artifact, benchmark):
     """Full-frame BRSMN routing, reference vs fast, plus 64-frame batch."""
     rows = []
-    results = {"sizes": [], "batch": {}}
+    results = {
+        "host": {
+            "cores": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "sizes": [],
+        "batch": {},
+    }
     for n, k_ref in ((64, 5), (256, 3), (1024, 2)):
         a = random_multicast(n, load=1.0, seed=n)
         ref_net = BRSMN(n)
@@ -189,43 +195,34 @@ def test_end_to_end_speedup(write_artifact, benchmark):
         "empty_plan_overhead": round(fault_overhead, 4),
     }
 
-    # -- parallel engine: sharded batch routing at 1/2/4 workers.  The
-    # payload matrix is *numeric* (int64): np.take on non-object dtypes
-    # releases the GIL, so worker threads genuinely overlap on multicore
-    # hosts.  Cold-cache timings clear the plan cache every repeat (the
-    # compile dominates); warm timings measure routing alone.  p50/p95
-    # ride along so compile-jitter stays visible next to min-of-k.
-    # Thread scaling is hardware-bound, so the measured numbers plus
-    # cpu_count are recorded honestly and the >= 2x acceptance assert
-    # only fires where 4 workers have 4 cores to run on.
+    # -- single-worker route_batch at n = 1024 (the regression gate's
+    # row).  The payload matrix is numeric (int64).  Cold-cache timings
+    # clear the plan cache every repeat (the compile dominates); warm
+    # timings measure routing alone.  p50/p95 ride along so compile
+    # jitter stays visible next to min-of-k.
     pn, pframes = 1024, 64
     pa = random_multicast(pn, load=1.0, seed=pn)
     pmat = np.arange(pframes * pn, dtype=np.int64).reshape(pframes, pn)
+    net = BRSMN(NetworkConfig(pn, engine="fast"))
+    warm = timing_stats(lambda: net.route_batch(pa, pmat), k=7, warmup=2)
+
+    def cold():
+        net.plan_cache.clear()
+        net.route_batch(pa, pmat)
+
+    cold_t = timing_stats(cold, k=5, warmup=1)
     parallel = {
         "n": pn,
         "frames": pframes,
-        "cpu_count": os.cpu_count(),
-        "workers": [],
-    }
-    warm_fps = {}
-    for workers in (1, 2, 4):
-        net = BRSMN(NetworkConfig(pn, engine="fast", workers=workers))
-        warm = timing_stats(lambda: net.route_batch(pa, pmat), k=7, warmup=2)
-
-        def cold():
-            net.plan_cache.clear()
-            net.route_batch(pa, pmat)
-
-        cold_t = timing_stats(cold, k=5, warmup=1)
-        net.close()
-        warm_fps[workers] = pframes / max(warm["min_s"], 1e-9)
-        parallel["workers"].append(
+        "workers": [
             {
-                "workers": workers,
+                "workers": 1,
                 "warm_batch_ms": round(warm["min_s"] * 1e3, 4),
                 "warm_p50_ms": round(warm["p50_s"] * 1e3, 4),
                 "warm_p95_ms": round(warm["p95_s"] * 1e3, 4),
-                "warm_frames_per_s": round(warm_fps[workers], 1),
+                "warm_frames_per_s": round(
+                    pframes / max(warm["min_s"], 1e-9), 1
+                ),
                 "cold_batch_ms": round(cold_t["min_s"] * 1e3, 4),
                 "cold_p50_ms": round(cold_t["p50_s"] * 1e3, 4),
                 "cold_p95_ms": round(cold_t["p95_s"] * 1e3, 4),
@@ -233,19 +230,14 @@ def test_end_to_end_speedup(write_artifact, benchmark):
                     pframes / max(cold_t["min_s"], 1e-9), 1
                 ),
             }
-        )
-    parallel["speedup_4w_vs_1w"] = round(warm_fps[4] / warm_fps[1], 2)
-    if (os.cpu_count() or 1) >= 4:
-        assert parallel["speedup_4w_vs_1w"] >= 2.0, (
-            f"4-worker batch routing only {parallel['speedup_4w_vs_1w']}x "
-            "vs 1 worker (need >= 2x on a >= 4-core host)"
-        )
+        ],
+    }
 
     # -- cold-cache single-flight: 4 threads hit one cold assignment;
     # the duplicate concurrent misses must coalesce onto one compile.
-    from repro.parallel import ConcurrentPlanCache
+    from repro.core.fastplan import PlanCache
 
-    sf_cache = ConcurrentPlanCache(maxsize=8)
+    sf_cache = PlanCache(maxsize=8)
     compiles = []
 
     def counting_compile(asg):
@@ -269,81 +261,6 @@ def test_end_to_end_speedup(write_artifact, benchmark):
     assert len(compiles) == 1, "single-flight must compile exactly once"
     assert sf_cache.misses + sf_cache.coalesced + sf_cache.hits == 4
     results["parallel"] = parallel
-
-    # -- process executor: the same sharded batch over worker
-    # *processes* (shared-memory payload transport, PlanEnvelope plan
-    # shipping).  Numeric matrices are where threads already scale, so
-    # the numeric rows mostly price the IPC overhead honestly;
-    # object-dtype payloads are where processes earn their keep — the
-    # object gather holds the GIL, so threads serialise while processes
-    # overlap.  The >= 1.5x object-dtype acceptance assert only fires
-    # where 4 workers have >= 4 cores to run on; the measured numbers
-    # plus cpu_count are recorded regardless.
-    process = {
-        "n": pn,
-        "frames": pframes,
-        "cpu_count": os.cpu_count(),
-        "workers": [],
-    }
-    proc_warm_fps = {}
-    for workers in (1, 2, 4):
-        net = BRSMN(
-            NetworkConfig(
-                pn, engine="fast", workers=workers, executor="process"
-            )
-        )
-        warm = timing_stats(lambda: net.route_batch(pa, pmat), k=5, warmup=2)
-
-        def proc_cold():
-            net.plan_cache.clear()
-            net.route_batch(pa, pmat)
-
-        cold_t = timing_stats(proc_cold, k=3, warmup=1)
-        net.close()
-        proc_warm_fps[workers] = pframes / max(warm["min_s"], 1e-9)
-        process["workers"].append(
-            {
-                "workers": workers,
-                "warm_batch_ms": round(warm["min_s"] * 1e3, 4),
-                "warm_p50_ms": round(warm["p50_s"] * 1e3, 4),
-                "warm_p95_ms": round(warm["p95_s"] * 1e3, 4),
-                "warm_frames_per_s": round(proc_warm_fps[workers], 1),
-                "cold_batch_ms": round(cold_t["min_s"] * 1e3, 4),
-                "cold_p50_ms": round(cold_t["p50_s"] * 1e3, 4),
-                "cold_p95_ms": round(cold_t["p95_s"] * 1e3, 4),
-                "cold_frames_per_s": round(
-                    pframes / max(cold_t["min_s"], 1e-9), 1
-                ),
-            }
-        )
-
-    # Object-dtype head-to-head at 4 workers: threads vs processes.
-    omat = np.arange(pframes * pn).reshape(pframes, pn).astype(object)
-    thread_net = BRSMN(NetworkConfig(pn, engine="fast", workers=4))
-    proc_net = BRSMN(
-        NetworkConfig(pn, engine="fast", workers=4, executor="process")
-    )
-    thread_obj = timing_stats(
-        lambda: thread_net.route_batch(pa, omat), k=5, warmup=2
-    )
-    proc_obj = timing_stats(
-        lambda: proc_net.route_batch(pa, omat), k=5, warmup=2
-    )
-    thread_net.close()
-    proc_net.close()
-    obj_speedup = thread_obj["min_s"] / max(proc_obj["min_s"], 1e-9)
-    process["object_dtype_4w"] = {
-        "thread_batch_ms": round(thread_obj["min_s"] * 1e3, 4),
-        "process_batch_ms": round(proc_obj["min_s"] * 1e3, 4),
-        "process_speedup_vs_threads": round(obj_speedup, 2),
-    }
-    if (os.cpu_count() or 1) >= 4:
-        assert obj_speedup >= 1.5, (
-            f"process executor only {obj_speedup:.2f}x vs threads on "
-            "object-dtype payloads at 4 workers (need >= 1.5x on a "
-            ">= 4-core host)"
-        )
-    results["process"] = process
 
     # -- cluster tier: K replicas behind plan-affinity placement.  The
     # rendezvous hash and lifecycle bookkeeping are per-frame overhead
@@ -426,16 +343,15 @@ def test_end_to_end_speedup(write_artifact, benchmark):
             o=results["observer"]["nullsink_overhead"],
             e=results["faults"]["empty_plan_overhead"],
         )
-        + "\n\nParallel engine (n = {n}, {f} int64 frames/batch, "
+        + "\n\nSingle-worker route_batch (n = {n}, {f} int64 frames/batch, "
           "{c} CPU core(s) visible):\n".format(
-            n=pn, f=pframes, c=parallel["cpu_count"]
+            n=pn, f=pframes, c=results["host"]["cores"]
         )
         + format_table(
-            ["workers", "warm ms (min/p50/p95)", "warm frames/s",
+            ["warm ms (min/p50/p95)", "warm frames/s",
              "cold ms (min/p50/p95)", "cold frames/s"],
             [
                 [
-                    w["workers"],
                     "{0:.2f}/{1:.2f}/{2:.2f}".format(
                         w["warm_batch_ms"], w["warm_p50_ms"], w["warm_p95_ms"]
                     ),
@@ -448,40 +364,11 @@ def test_end_to_end_speedup(write_artifact, benchmark):
                 for w in parallel["workers"]
             ],
         )
-        + "\n  4-worker vs 1-worker warm speedup: {s:.2f}x\n"
-          "  cold single-flight: {th} threads -> {cp} compile(s), "
+        + "\n  cold single-flight: {th} threads -> {cp} compile(s), "
           "{co} coalesced".format(
-            s=parallel["speedup_4w_vs_1w"],
             th=parallel["cold_single_flight"]["threads"],
             cp=parallel["cold_single_flight"]["compiles"],
             co=parallel["cold_single_flight"]["coalesced"],
-        )
-        + "\n\nProcess executor (n = {n}, {f} int64 frames/batch, "
-          "shared-memory transport):\n".format(n=pn, f=pframes)
-        + format_table(
-            ["workers", "warm ms (min/p50/p95)", "warm frames/s",
-             "cold ms (min/p50/p95)", "cold frames/s"],
-            [
-                [
-                    w["workers"],
-                    "{0:.2f}/{1:.2f}/{2:.2f}".format(
-                        w["warm_batch_ms"], w["warm_p50_ms"], w["warm_p95_ms"]
-                    ),
-                    f"{w['warm_frames_per_s']:.0f}",
-                    "{0:.2f}/{1:.2f}/{2:.2f}".format(
-                        w["cold_batch_ms"], w["cold_p50_ms"], w["cold_p95_ms"]
-                    ),
-                    f"{w['cold_frames_per_s']:.0f}",
-                ]
-                for w in process["workers"]
-            ],
-        )
-        + "\n  object-dtype batch, 4 workers: threads {t:.2f} ms vs "
-          "processes {p:.2f} ms ({x:.2f}x)\n"
-          "  (>= 1.5x acceptance asserted only on >= 4-core hosts)".format(
-            t=process["object_dtype_4w"]["thread_batch_ms"],
-            p=process["object_dtype_4w"]["process_batch_ms"],
-            x=process["object_dtype_4w"]["process_speedup_vs_threads"],
         )
         + "\n\nCluster tier (n = {n}, {f} frames/campaign, {d} distinct "
           "plans, rendezvous placement):\n".format(

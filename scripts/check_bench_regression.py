@@ -2,28 +2,17 @@
 """CI bench-regression gate: single-worker batch throughput vs committed JSON.
 
 Re-measures the one number least forgivable to regress — warm
-single-worker ``route_batch`` frames/s at the parallel bench's shape
-(``n = 1024``, 64-frame batches, numeric payloads) — and fails if it
-drops more than ``--threshold`` (default 20 %) below the value recorded
-in the committed ``BENCH_fast_engine.json``.
-
-Only the single-worker number is gated: multi-worker scaling is
-hardware-bound (the committed JSON records ``cpu_count`` next to its
-numbers), so comparing it across machines would gate on the runner's
-core count, not on the code.  Warm min-of-k is used for the same
-reason the bench uses it — it is the low-noise steady-state estimator,
-insensitive to one-off scheduler stalls that p50/p95 exist to surface.
+single-worker ``route_batch`` frames/s at the bench's ``parallel``
+section shape (``n = 1024``, 64-frame batches, numeric payloads) — and
+fails if it drops more than ``--threshold`` (default 20 %) below the
+value recorded in the committed ``BENCH_fast_engine.json``.  Warm
+min-of-k is used for the same reason the bench uses it — it is the
+low-noise steady-state estimator, insensitive to one-off scheduler
+stalls that p50/p95 exist to surface.
 
 Run from the repository root::
 
     PYTHONPATH=src python scripts/check_bench_regression.py
-
-``--executor process`` gates the multiprocess executor the same way,
-against the committed ``process`` section's 2-worker row (2 workers,
-not 4, so the gate prices the shared-memory/envelope machinery rather
-than the runner's core count)::
-
-    PYTHONPATH=src python scripts/check_bench_regression.py --executor process
 
 ``--cluster`` gates the cluster tier the same way, against the
 committed ``cluster`` section's 1-replica row (1 replica, so the gate
@@ -82,10 +71,7 @@ def committed_frames_per_s(
 ) -> float:
     """The committed warm frames/s for one bench row, or exit 2 if absent.
 
-    The default row is the thread path's single-worker number; the
-    ``--executor process`` gate reads the ``process`` section's
-    2-worker row instead (2, not 4, so the gate measures the executor's
-    IPC machinery rather than the runner's core count), and the
+    The default row is the single-worker ``route_batch`` number; the
     ``--cluster`` gate reads the ``cluster`` section's 1-replica row
     (1, not 4, so the gate prices the placement/lifecycle overhead
     rather than how the runner schedules K fabrics).
@@ -106,24 +92,15 @@ def committed_frames_per_s(
     sys.exit(2)
 
 
-def measure_frames_per_s(
-    k: int = 7, warmup: int = 2, workers: int = 1, executor: str = "thread"
-) -> float:
+def measure_frames_per_s(k: int = 7, warmup: int = 2) -> float:
     """Warm min-of-k frames/s, same shape as the bench's parallel section."""
     n, frames = 1024, 64
     assignment = random_multicast(n, load=1.0, seed=n)
     matrix = np.arange(frames * n, dtype=np.int64).reshape(frames, n)
-    net = BRSMN(
-        NetworkConfig(n, engine="fast", workers=workers, executor=executor)
-    )
-    try:
-        for _ in range(warmup):
-            net.route_batch(assignment, matrix)
-        best = min(
-            _timed(net.route_batch, assignment, matrix) for _ in range(k)
-        )
-    finally:
-        net.close()
+    net = BRSMN(NetworkConfig(n, engine="fast"))
+    for _ in range(warmup):
+        net.route_batch(assignment, matrix)
+    best = min(_timed(net.route_batch, assignment, matrix) for _ in range(k))
     return frames / max(best, 1e-9)
 
 
@@ -222,18 +199,10 @@ def main(argv=None) -> int:
         help="maximum tolerated fractional drop (default 0.20)",
     )
     parser.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="which executor's committed throughput row to gate: "
-        "'thread' gates the single-worker row, 'process' the process "
-        "section's 2-worker row",
-    )
-    parser.add_argument(
         "--cluster",
         action="store_true",
         help="gate the cluster section's 1-replica warm frames/s row "
-        "instead of a raw executor row",
+        "instead of the single-worker route_batch row",
     )
     parser.add_argument(
         "--adaptive-gate",
@@ -284,12 +253,6 @@ def main(argv=None) -> int:
         )
         measured = measure_cluster_frames_per_s()
         label = "cluster (1-replica) warm campaign throughput"
-    elif args.executor == "process":
-        committed = committed_frames_per_s(
-            args.json, section="process", workers=2
-        )
-        measured = measure_frames_per_s(workers=2, executor="process")
-        label = "process-executor (2-worker) batch throughput"
     else:
         committed = committed_frames_per_s(args.json)
         measured = measure_frames_per_s()

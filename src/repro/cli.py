@@ -5,12 +5,11 @@ Usage (after ``pip install -e .``)::
     python -m repro route --n 8 --assign '{"0":[0,1],"2":[3,4,7],"3":[2],"7":[5,6]}'
     python -m repro route --n 8 --example --trace
     python -m repro stats --n 64 --frames 200 --engine fast --metrics-out metrics.json
-    python -m repro stats --n 256 --frames 500 --workers 4 --compile-ahead 2
-    python -m repro stats --n 256 --frames 500 --workers 4 --executor process
+    python -m repro stats --n 256 --frames 500 --compile-ahead 2
     python -m repro chaos --n 32 --frames 100 --faults 2 --seed 7
     python -m repro chaos --n 64 --overload --arrival-rate 2.0 --deadline-ms 50
     python -m repro chaos --n 64 --overload --adaptive --seed 7 \\
-        --workers 4 --control-log decisions.json --summary-out summary.json
+        --control-log decisions.json --summary-out summary.json
     python -m repro tags --n 8 --dests 3,4,7
     python -m repro structure --n 64
     python -m repro table2 --sizes 8,64,512
@@ -175,25 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_stats.add_argument("--seed", type=int, default=0)
     p_stats.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker-pool size for the fast engine (1 = single-threaded)",
-    )
-    p_stats.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="sharding backend for --workers > 1: thread (zero-copy "
-        "views, default) or process (shared-memory shards that scale "
-        "CPython-bound routing past one core)",
-    )
-    p_stats.add_argument(
         "--compile-ahead",
         type=int,
         default=0,
         help="compile-ahead prefetch depth (0 = off); the session run "
-        "loop then warms upcoming frames' plans on the worker pool",
+        "loop then warms upcoming frames' plans on a background thread",
     )
     p_stats.add_argument(
         "--metrics-out",
@@ -293,23 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="overload: fraction of arrivals carrying priority 1",
     )
     p_chaos.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="overload: worker-pool size for the fast engine",
-    )
-    p_chaos.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="overload: sharding backend for --workers > 1 (thread or "
-        "process; see docs/executors.md)",
-    )
-    p_chaos.add_argument(
         "--adaptive",
         action="store_true",
         help="overload: run the closed-loop control plane (AIMD "
-        "admission rate, priority reserve, worker target) over the "
+        "admission rate, priority reserve) over the "
         "campaign instead of the static gate policy",
     )
     p_chaos.add_argument(
@@ -536,22 +508,14 @@ def _cmd_stats(args) -> int:
     from .core.fabric import MulticastFabric
     from .obs import CompositeObserver, MetricsObserver, TracingObserver
 
-    if (args.workers > 1 or args.compile_ahead > 0) and args.engine != "fast":
-        print(
-            "--workers/--compile-ahead require --engine fast",
-            file=sys.stderr,
-        )
-        return 2
-    if args.executor == "process" and args.engine != "fast":
-        print("--executor process requires --engine fast", file=sys.stderr)
+    if args.compile_ahead > 0 and args.engine != "fast":
+        print("--compile-ahead requires --engine fast", file=sys.stderr)
         return 2
     metrics = MetricsObserver()
     tracing = TracingObserver()
     cfg = NetworkConfig(
         args.n,
         engine=args.engine,
-        workers=args.workers,
-        executor=args.executor,
         compile_ahead=args.compile_ahead,
         observer=CompositeObserver(metrics, tracing),
     )
@@ -575,19 +539,13 @@ def _cmd_stats(args) -> int:
             f"{stats.plan_cache_misses} misses "
             f"({stats.plan_cache_hit_rate:.0%} hit rate)"
         )
-    if args.workers > 1 or args.compile_ahead > 0:
-        cache = fabric.network.plan_cache
+    if args.compile_ahead > 0:
         pipeline = fabric.network.pipeline
-        line = (
-            f"parallel: {args.workers} workers ({args.executor}), "
-            f"{getattr(cache, 'coalesced', 0)} coalesced compiles"
+        print(
+            f"compile-ahead: {fabric.network.plan_cache.coalesced} "
+            f"coalesced compiles, {pipeline.prefetches} prefetches "
+            f"({pipeline.drops} dropped at depth {args.compile_ahead})"
         )
-        if pipeline is not None:
-            line += (
-                f", {pipeline.prefetches} prefetches "
-                f"({pipeline.drops} dropped at depth {args.compile_ahead})"
-            )
-        print(line)
     if not args.no_profile:
         rows = _profile_rows(tracing)
         if rows:
@@ -753,12 +711,6 @@ def _cmd_chaos_overload(args) -> int:
     if args.control_log is not None and not args.adaptive:
         print("--control-log requires --adaptive", file=sys.stderr)
         return 2
-    if args.workers > 1 and args.engine != "fast":
-        print("--workers requires --engine fast", file=sys.stderr)
-        return 2
-    if args.executor == "process" and args.engine != "fast":
-        print("--executor process requires --engine fast", file=sys.stderr)
-        return 2
     metrics = MetricsObserver()
     try:
         plan = FaultPlan.random(args.n, faults=args.faults, seed=args.seed)
@@ -784,8 +736,6 @@ def _cmd_chaos_overload(args) -> int:
         cfg = NetworkConfig(
             args.n,
             engine=args.engine,
-            workers=args.workers,
-            executor=args.executor,
             fault_plan=plan,
             observer=metrics,
             admission=admission,

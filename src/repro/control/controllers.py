@@ -10,7 +10,7 @@ actuator, reads a clock, or keeps hidden state; the
 That split is what makes seeded campaigns replay bit-identically:
 identical windows in, identical decisions out, every run.
 
-The four loops:
+The three loops:
 
 * :func:`admission_step` — AIMD on the
   :class:`~repro.resilience.gate.AdmissionGate` refill rate (and its
@@ -21,9 +21,6 @@ The four loops:
   :class:`~repro.parallel.pipeline.CompileAheadPipeline` depth while
   the observed prefetch drop rate exceeds ``drop_threshold``, shrinks
   it back when lookahead goes idle.
-* :func:`worker_step` — raises the
-  :class:`~repro.parallel.shard.ShardedBatchRouter` worker target
-  under backlog pressure, parks spare workers when drained.
 * :func:`backoff_step` — scales
   :class:`~repro.faults.healing.RetryPolicy` backoff while the circuit
   breaker is HALF_OPEN, so probe traffic paces itself.
@@ -41,11 +38,9 @@ __all__ = [
     "ControlAction",
     "AdmissionState",
     "CompileAheadState",
-    "WorkerState",
     "BackoffState",
     "admission_step",
     "compile_ahead_step",
-    "worker_step",
     "backoff_step",
 ]
 
@@ -56,14 +51,14 @@ class ControlAction:
 
     Attributes:
         controller: which loop decided (``"admission"``,
-            ``"compile_ahead"``, ``"workers"``, ``"backoff"``).
+            ``"compile_ahead"``, ``"backoff"``).
         parameter: the actuator knob (``"rate"``, ``"reserve"``,
-            ``"depth"``, ``"worker_target"``, ``"backoff_scale"``).
+            ``"depth"``, ``"backoff_scale"``).
         old: the knob's value before the adjustment.
         new: the value the controller chose.
         reason: deterministic one-word cause (``"backlog"``,
             ``"high_priority_shed"``, ``"spare_capacity"``,
-            ``"drop_rate"``, ``"idle"``, ``"drained"``,
+            ``"drop_rate"``, ``"idle"``,
             ``"breaker_half_open"``, ``"breaker_recovered"``).
     """
 
@@ -96,14 +91,6 @@ class CompileAheadState:
     """Compile-ahead state: the prefetch depth currently set."""
 
     depth: int
-
-
-@dataclass(frozen=True)
-class WorkerState:
-    """Worker state: the shard worker target currently set."""
-
-    target: int
-    maximum: int
 
 
 @dataclass(frozen=True)
@@ -219,42 +206,6 @@ def compile_ahead_step(
         )
         depth = new_depth
     return CompileAheadState(depth=depth), actions
-
-
-def worker_step(
-    policy: ControlPolicy, signals: SignalWindow, state: WorkerState
-) -> Tuple[WorkerState, List[ControlAction]]:
-    """Scale the shard worker target with backlog pressure.
-
-    The target can never exceed ``state.maximum`` (the constructed
-    pool's size — threads are provisioned at build time, the
-    controller only decides how many to *use*): backlog at/above
-    ``backlog_high`` raises the target one worker per tick toward that
-    maximum; a drained queue (<= ``backlog_low``) parks one worker per
-    tick down toward ``worker_min``, which shrinks shard count — and
-    with it merge and wake-up overhead — on quiet streams.
-    """
-    actions: List[ControlAction] = []
-    target = state.target
-    if signals.queue_depth >= policy.backlog_high:
-        new_target = min(state.maximum, target + 1)
-        if new_target != target:
-            actions.append(
-                ControlAction(
-                    "workers", "worker_target", target, new_target, "backlog"
-                )
-            )
-            target = new_target
-    elif signals.queue_depth <= policy.backlog_low:
-        new_target = max(policy.worker_min, target - 1)
-        if new_target != target:
-            actions.append(
-                ControlAction(
-                    "workers", "worker_target", target, new_target, "drained"
-                )
-            )
-            target = new_target
-    return WorkerState(target=target, maximum=state.maximum), actions
 
 
 def backoff_step(

@@ -13,7 +13,6 @@ controller              actuator
 ``admission``           :meth:`AdmissionGate.update_policy`
                         (``rate``, ``reserve``)
 ``compile_ahead``       :meth:`CompileAheadPipeline.set_depth`
-``workers``             :meth:`ShardedBatchRouter.set_worker_target`
 ``backoff``             a ``retry_setter`` callback receiving
                         ``RetryPolicy.scaled(scale)``
 ======================  ==========================================
@@ -42,11 +41,9 @@ from .controllers import (
     AdmissionState,
     BackoffState,
     CompileAheadState,
-    WorkerState,
     admission_step,
     backoff_step,
     compile_ahead_step,
-    worker_step,
 )
 from .policy import ControlPolicy
 from .signals import SignalAggregator
@@ -72,8 +69,8 @@ class ControlPlane:
     whichever actuators it built, then calls :meth:`maybe_tick` once
     per service opportunity (submission / slot) on the submitting
     thread.  Only bound actuators are controlled; everything else is
-    left alone — a fabric without workers simply never runs the worker
-    loop.
+    left alone — a fabric without compile-ahead simply never runs the
+    depth loop.
     """
 
     def __init__(
@@ -90,14 +87,12 @@ class ControlPlane:
         # Actuators (None until bind()).
         self._gate = None
         self._pipeline = None
-        self._router = None
         self._breaker = None
         self._retry_base = None
         self._retry_setter: Optional[Callable] = None
         # Controller states (None until the matching actuator binds).
         self._admission: Optional[AdmissionState] = None
         self._compile_ahead: Optional[CompileAheadState] = None
-        self._workers: Optional[WorkerState] = None
         self._backoff: Optional[BackoffState] = None
         # Cumulative pipeline counters at the previous tick, for deltas.
         self._prev_prefetches = 0
@@ -108,7 +103,6 @@ class ControlPlane:
         self,
         gate=None,
         pipeline=None,
-        router=None,
         breaker=None,
         retry_policy=None,
         retry_setter: Optional[Callable] = None,
@@ -121,10 +115,6 @@ class ControlPlane:
             pipeline: a
                 :class:`~repro.parallel.pipeline.CompileAheadPipeline`;
                 its current depth and counters seed the depth loop.
-            router: a
-                :class:`~repro.parallel.shard.ShardedBatchRouter`; its
-                pool size becomes both the initial target and the hard
-                maximum.
             breaker: a
                 :class:`~repro.resilience.breaker.CircuitBreaker`
                 sampled (never driven) for HALF_OPEN at tick time.
@@ -151,11 +141,6 @@ class ControlPlane:
             self._compile_ahead = CompileAheadState(depth=pipeline.depth)
             self._prev_prefetches = pipeline.prefetches
             self._prev_drops = pipeline.drops
-        if router is not None:
-            self._router = router
-            self._workers = WorkerState(
-                target=router.effective_workers, maximum=router.pool.workers
-            )
         if breaker is not None:
             self._breaker = breaker
         if retry_policy is not None:
@@ -223,13 +208,6 @@ class ControlPlane:
             )
             if actions:
                 self._pipeline.set_depth(self._compile_ahead.depth)
-                self._record(actions)
-        if self._workers is not None:
-            self._workers, actions = worker_step(
-                self.policy, window, self._workers
-            )
-            if actions:
-                self._router.set_worker_target(self._workers.target)
                 self._record(actions)
         if self._backoff is not None:
             self._backoff, actions = backoff_step(

@@ -4,7 +4,7 @@
 plane (:mod:`repro.control.plane`) is allowed to make.  The controllers
 themselves are pure functions; the policy is the *envelope* they act
 within — AIMD floor/ceiling on the admission refill rate, min/max on
-the compile-ahead depth and worker target, and the backoff scale used
+the compile-ahead depth, and the backoff scale used
 while the circuit breaker is probing.
 
 Every bound is validated at construction, and every validation error
@@ -44,17 +44,15 @@ class ControlPolicy:
         reserve_max: cap on the adapted reserve (must stay below the
             gate's burst or best-effort traffic starves entirely).
         backlog_high: queue depth at/above which the loop backs off
-            (multiplicative decrease, worker scale-up).
+            (multiplicative decrease).
         backlog_low: queue depth at/below which the system is
-            considered drained (probing up is safe, workers may scale
-            down).
+            considered drained (probing up is safe).
         depth_min: smallest compile-ahead prefetch depth the loop may
             set.
         depth_max: largest compile-ahead prefetch depth it may set.
         drop_threshold: prefetch drop rate (drops / attempts over the
             window, in ``[0, 1]``) above which the compile-ahead depth
             grows.
-        worker_min: smallest shard worker target the loop may set.
         half_open_backoff_scale: factor (>= 1) applied to healing
             retry backoff while the circuit breaker is HALF_OPEN, so
             probe traffic paces itself instead of hammering a
@@ -74,7 +72,6 @@ class ControlPolicy:
     depth_min: int = 1
     depth_max: int = 8
     drop_threshold: float = 0.25
-    worker_min: int = 1
     half_open_backoff_scale: float = 2.0
 
     def __post_init__(self):
@@ -136,10 +133,6 @@ class ControlPolicy:
         if not 0.0 <= self.drop_threshold <= 1.0:
             raise ValueError(
                 f"drop_threshold must be in [0, 1], got {self.drop_threshold}"
-            )
-        if self.worker_min < 1:
-            raise ValueError(
-                f"worker_min must be >= 1, got {self.worker_min}"
             )
         if self.half_open_backoff_scale < 1.0:
             raise ValueError(

@@ -17,8 +17,9 @@ into two classes:
   prefetch/drop counters, breaker state).  These are pure functions of
   the seed and the arrival trace.
 * **advisory signals** — wall-clock serve latency and plan-cache
-  hit/miss counts.  Cache events can arrive from worker threads at
-  scheduler-dependent times and latency is wall-clock by definition,
+  hit/miss counts.  Cache events can arrive from the compile-ahead
+  thread at scheduler-dependent times and latency is wall-clock by
+  definition,
   so controllers MUST NOT consume them; they ride along for
   observability (the ``repro_control_*`` gauges and debugging) only.
 """
@@ -63,7 +64,7 @@ class SignalWindow:
         breaker_half_open: True when the circuit breaker was HALF_OPEN
             at the most recent tick.
         cache_hits: advisory — plan-cache hits observed (may include
-            worker-thread events; NOT a decision signal).
+            compile-ahead-thread events; NOT a decision signal).
         cache_misses: advisory — plan-cache misses observed.
         serve_ns: advisory — wall-clock routing nanoseconds observed.
             Excluded from every controller decision and from the

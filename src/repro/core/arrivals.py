@@ -224,8 +224,8 @@ class QueueingSimulator:
     to off.  A ``control`` policy runs a
     :class:`~repro.control.plane.ControlPlane` over the slot loop: one
     deterministic control tick at the end of every slot, retuning the
-    gate's rate/reserve, the compile-ahead depth and the shard worker
-    target from the observed window (see ``docs/control_plane.md``).
+    gate's rate/reserve and the compile-ahead depth from the observed
+    window (see ``docs/control_plane.md``).
 
     When the config carries a non-empty fault plan, every slot's frame
     is routed through :func:`~repro.faults.healing.route_with_healing`:
@@ -291,7 +291,6 @@ class QueueingSimulator:
             self.control.bind(
                 gate=self.gate,
                 pipeline=getattr(self.network, "pipeline", None),
-                router=getattr(self.network, "_sharded", None),
                 retry_policy=base_retry,
                 retry_setter=(
                     None
@@ -412,9 +411,9 @@ class QueueingSimulator:
         Packing is a deterministic function of the backlog and the
         arrivals admitted by then, so replaying it on a scratch list
         predicts the next frame exactly; its plan then compiles on the
-        worker pool while this thread packs, verifies and accounts.
-        The speculative pack is paid only on parallel configurations
-        (``compile_ahead > 0``).
+        compile-ahead thread while this thread packs, verifies and
+        accounts.  The speculative pack is paid only when
+        ``compile_ahead > 0``.
         """
         lookahead = list(backlog)
         while idx < len(pending) and pending[idx].slot <= next_slot:
@@ -430,8 +429,8 @@ class QueueingSimulator:
         self.network.prefetch(MulticastAssignment(self.n, dests))
 
     def close(self) -> None:
-        """Release parallel-engine resources (worker threads); no-op on
-        non-parallel configurations."""
+        """Release the compile-ahead thread; a no-op without
+        compile-ahead."""
         close = getattr(self.network, "close", None)
         if close is not None:
             close()

@@ -323,12 +323,9 @@ class BRSMN:
         n: a :class:`~repro.core.config.NetworkConfig` (must be
             unrolled), or a bare network size (power of two, >= 2).
         plan_cache: fast engine only — a
-            :class:`~repro.core.fastplan.PlanCache` (or thread-safe
-            :class:`~repro.parallel.plan_cache.ConcurrentPlanCache`) to
-            share across networks (default: a private cache sized by
-            the config's ``plan_cache_size``, wired to the config's
-            observer; concurrent when the config enables workers or
-            compile-ahead).
+            :class:`~repro.core.fastplan.PlanCache` to share across
+            networks (default: a private cache sized by the config's
+            ``plan_cache_size``, wired to the config's observer).
         observer: optional :class:`~repro.obs.events.Observer`
             (overrides the config's).
     """
@@ -357,87 +354,45 @@ class BRSMN:
         else:
             self.fault_plan = None
             self._injector = None
-        self.workers = cfg.workers
-        self.executor = cfg.executor
         self.compile_ahead = cfg.compile_ahead
         self.pool = None
         self.pipeline = None
-        self._sharded = None
-        self._proc_pool = None
-        parallel = cfg.engine == "fast" and (
-            cfg.workers > 1 or cfg.compile_ahead > 0
-        )
         if cfg.engine == "fast" or plan_cache is not None:
-            if parallel:
+            from .fastplan import PlanCache  # deferred: import cycle
+
+            self.plan_cache = (
+                plan_cache
+                if plan_cache is not None
+                else PlanCache(
+                    maxsize=cfg.plan_cache_size, observer=cfg.observer
+                )
+            )
+            if cfg.engine == "fast" and cfg.compile_ahead > 0:
                 # Deferred: repro.parallel imports core.fastplan.
-                from ..parallel import (
-                    CompileAheadPipeline,
-                    ConcurrentPlanCache,
-                    ShardedBatchRouter,
-                    WorkerPool,
-                )
+                from ..parallel import CompileAheadPipeline, WorkerPool
+                from .fastplan import compile_frame_plan
 
-                self.plan_cache = (
-                    plan_cache
-                    if plan_cache is not None
-                    else ConcurrentPlanCache(
-                        maxsize=cfg.plan_cache_size, observer=cfg.observer
-                    )
-                )
-                self.pool = WorkerPool(cfg.workers, observer=cfg.observer)
-                if cfg.workers > 1:
-                    if cfg.executor == "process":
-                        from ..parallel.process import (
-                            ProcessShardRouter,
-                            ProcessWorkerPool,
-                        )
-
-                        # The thread pool stays for compile-ahead (plan
-                        # compilation needs the parent's cache anyway);
-                        # only payload sharding crosses into processes.
-                        self._proc_pool = ProcessWorkerPool(
-                            cfg.workers, observer=cfg.observer
-                        )
-                        self._sharded = ProcessShardRouter(
-                            self._proc_pool, observer=cfg.observer
-                        )
-                    else:
-                        self._sharded = ShardedBatchRouter(
-                            self.pool, observer=cfg.observer
-                        )
-                if cfg.compile_ahead > 0:
-                    from .fastplan import compile_frame_plan  # deferred
-
-                    fault_plan = self.fault_plan
-                    self.pipeline = CompileAheadPipeline(
-                        self.plan_cache,
-                        self.pool,
-                        depth=cfg.compile_ahead,
-                        compile_fn=(
-                            compile_frame_plan
-                            if fault_plan is None
-                            else (
-                                lambda a: compile_frame_plan(
-                                    a, fault_plan=fault_plan
-                                )
+                fault_plan = self.fault_plan
+                self.pool = WorkerPool(1, observer=cfg.observer)
+                self.pipeline = CompileAheadPipeline(
+                    self.plan_cache,
+                    self.pool,
+                    depth=cfg.compile_ahead,
+                    compile_fn=(
+                        compile_frame_plan
+                        if fault_plan is None
+                        else (
+                            lambda a: compile_frame_plan(
+                                a, fault_plan=fault_plan
                             )
-                        ),
-                        extra_key=(
-                            fault_plan.fingerprint()
-                            if fault_plan is not None
-                            else ""
-                        ),
-                        observer=cfg.observer,
-                    )
-            else:
-                from .fastplan import PlanCache  # deferred: import cycle
-
-                self.plan_cache = (
-                    plan_cache
-                    if plan_cache is not None
-                    else PlanCache(
-                        maxsize=cfg.plan_cache_size, observer=cfg.observer
-                    )
+                        )
+                    ),
+                    extra_key=(
+                        fault_plan.fingerprint()
+                        if fault_plan is not None
+                        else ""
+                    ),
+                    observer=cfg.observer,
                 )
         else:
             self.plan_cache = None
@@ -700,55 +655,41 @@ class BRSMN:
         return self.pipeline.prefetch(assignment)
 
     def close(self) -> None:
-        """Drain pending prefetches and stop the worker pools.
+        """Drain pending prefetches and stop the compile-ahead thread.
 
-        Idempotent, and a no-op on non-parallel configurations; a later
-        routing call restarts the pools transparently, so ``close`` is
-        a courtesy for prompt teardown, not a lifecycle obligation.
-        Both shutdowns run in ``finally`` clauses so a raising pipeline
-        drain can never leak executor threads — or, with
-        ``executor="process"``, worker processes.
+        Idempotent, and a no-op without compile-ahead; a later routing
+        call restarts the pool transparently, so ``close`` is a
+        courtesy for prompt teardown, not a lifecycle obligation.  The
+        shutdown runs in a ``finally`` clause so a raising pipeline
+        drain can never leak the pool thread.
         """
         try:
             if self.pipeline is not None:
                 self.pipeline.drain()
         finally:
-            try:
-                if self.pool is not None:
-                    self.pool.shutdown()
-            finally:
-                if self._proc_pool is not None:
-                    self._proc_pool.shutdown()
+            if self.pool is not None:
+                self.pool.shutdown()
 
     def route_batch(
         self,
         assignment: MulticastAssignment,
         payload_matrix,
         mode: str = "oracle",
-        budget=None,
     ) -> BatchRoutingResult:
         """Route many payload frames sharing one assignment.
 
         On the fast engine the whole batch is one fancy-indexing gather
-        through the compiled plan — sharded across the worker pool when
-        the network is configured with ``workers > 1`` — and on the
-        reference engine the frames are routed sequentially (the
-        baseline the batch path is benchmarked against).
+        through the compiled plan, and on the reference engine the
+        frames are routed sequentially (the baseline the batch path is
+        benchmarked against).
 
         Args:
             assignment: the shared multicast assignment.
             payload_matrix: ``(batch, n)`` array-like of per-input
                 payloads, one row per frame.  A *numeric* ndarray keeps
-                its dtype end to end (idle outputs deliver 0, and the
-                gather kernels release the GIL, which is what lets
-                worker threads scale on multicore hosts); any other
-                input is routed as an object matrix with ``None`` on
-                idle outputs, exactly as before.
-            budget: optional
-                :class:`~repro.resilience.budget.DeadlineBudget`
-                bounding the sharded path's worker waits — a shard
-                unfinished when it expires is routed inline, so the
-                batch still returns complete deliveries.
+                its dtype end to end (idle outputs deliver 0); any
+                other input is routed as an object matrix with ``None``
+                on idle outputs.
 
         Returns:
             A :class:`BatchRoutingResult`.
@@ -786,10 +727,7 @@ class BRSMN:
                 casualties = plan.casualties(attempt)
                 if casualties:
                     delivery_src[sorted(casualties)] = -1
-            if self._sharded is not None:
-                delivered = self._sharded.apply(plan, mat, attempt, budget=budget)
-            else:
-                delivered = plan.apply_batch(mat, attempt)
+            delivered = plan.apply_batch(mat, attempt)
             result = BatchRoutingResult(
                 assignment=assignment,
                 frames=mat.shape[0],

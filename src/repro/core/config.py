@@ -36,7 +36,6 @@ __all__ = ["NetworkConfig"]
 
 IMPLEMENTATIONS = ("unrolled", "feedback")
 ENGINES = ("reference", "fast")
-EXECUTORS = ("thread", "process")
 
 
 @dataclass(frozen=True)
@@ -53,30 +52,12 @@ class NetworkConfig:
             ``"fast"`` (compiled NumPy routing plans; unrolled only).
         plan_cache_size: fast engine — maximum compiled plans retained
             by the LRU :class:`~repro.core.fastplan.PlanCache`.
-        workers: fast engine — size of the routing worker pool.  At 1
-            (the default) everything runs on the calling thread; above
-            1 the network routes payload batches through a
-            :class:`~repro.parallel.shard.ShardedBatchRouter` and
-            memoises plans in a thread-safe
-            :class:`~repro.parallel.plan_cache.ConcurrentPlanCache`
-            with single-flight compile deduplication.
-        executor: fast engine — backend the sharded batch router runs
-            on when ``workers > 1``.  ``"thread"`` (the default) shards
-            on a :class:`~repro.parallel.workers.WorkerPool` of threads
-            with zero-copy views; ``"process"`` shards on a
-            :class:`~repro.parallel.process.ProcessShardRouter` pool of
-            worker *processes* — numeric payload matrices travel
-            through ``multiprocessing.shared_memory`` and object-dtype
-            batches as pickled chunks, so CPython-bound routing scales
-            past one core.  See ``docs/executors.md`` for the decision
-            table and the determinism/crash contract (identical for
-            both backends).
         compile_ahead: fast engine — depth of the
             :class:`~repro.parallel.pipeline.CompileAheadPipeline`
             prefetch queue (0 disables it).  Session facades with
             lookahead (:meth:`~repro.core.fabric.MulticastFabric.run`,
             the queueing simulator) then compile upcoming frames' plans
-            on the worker pool while the current frame routes.
+            on one background thread while the current frame routes.
         observer: optional :class:`~repro.obs.events.Observer` receiving
             frame lifecycle events, per-level profiling spans and
             plan-cache events (unrolled implementation).
@@ -89,8 +70,8 @@ class NetworkConfig:
         deadline_ms: optional per-frame wall-clock budget in
             milliseconds — the session facades then carry a
             :class:`~repro.resilience.budget.DeadlineBudget` through
-            healing retries and sharded-batch waits, so serving stops
-            (and the frame is accounted) when the budget is spent.
+            healing retries, so serving stops (and the frame is
+            accounted) when the budget is spent.
         admission: optional
             :class:`~repro.resilience.gate.AdmissionPolicy` — the
             session facades then run an
@@ -107,24 +88,24 @@ class NetworkConfig:
             :class:`~repro.control.policy.ControlPolicy` — the session
             facades then run a
             :class:`~repro.control.plane.ControlPlane` that retunes
-            the admission rate (AIMD), compile-ahead depth, shard
-            worker target and retry backoff from the observed event
-            stream, one deterministic tick per submission / slot.
+            the admission rate (AIMD), compile-ahead depth and retry
+            backoff from the observed event stream, one deterministic
+            tick per submission / slot.
         snapshot_path: optional filesystem path —
             :meth:`~repro.core.fabric.MulticastFabric.close` then
             writes a :class:`~repro.resilience.snapshot.FabricSnapshot`
             there, and a fabric constructed with the same path
             warm-restores from it (cached plans recompile, health and
             breaker state carry over).  A missing file is a cold
-            start, not an error.
+            start, not an error; so is a torn file or one written for
+            another format version or network size (counted as a
+            ``snapshot_rejected`` resilience event).
     """
 
     n: int
     implementation: str = "unrolled"
     engine: str = "reference"
     plan_cache_size: int = 256
-    workers: int = 1
-    executor: str = "thread"
     compile_ahead: int = 0
     observer: Optional[object] = field(default=None, compare=False)
     fault_plan: Optional[object] = None
@@ -154,28 +135,14 @@ class NetworkConfig:
             raise ValueError(
                 f"plan_cache_size must be >= 1, got {self.plan_cache_size}"
             )
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.compile_ahead < 0:
             raise ValueError(
                 f"compile_ahead must be >= 0, got {self.compile_ahead}"
             )
-        if (self.workers > 1 or self.compile_ahead > 0) and self.engine != "fast":
+        if self.compile_ahead > 0 and self.engine != "fast":
             raise ValueError(
-                "workers > 1 / compile_ahead > 0 require engine='fast' "
-                "(the reference engine is a per-switch teaching "
-                "simulation; parallelising it would only obscure it)"
-            )
-        if self.executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {self.executor!r} "
-                f"(expected one of {EXECUTORS})"
-            )
-        if self.executor == "process" and self.engine != "fast":
-            raise ValueError(
-                "executor='process' requires engine='fast' (only "
-                "compiled routing plans travel pickle-safely to worker "
-                "processes; the reference engine stays in-process)"
+                "compile_ahead > 0 requires engine='fast' (the reference "
+                "engine compiles no plans)"
             )
         if self.fault_plan is not None:
             # Duck-typed on purpose: importing repro.faults here would
@@ -237,7 +204,7 @@ class NetworkConfig:
         The ergonomic way to vary a frozen config::
 
             base = NetworkConfig(256, engine="fast")
-            tuned = base.derive(workers=4, compile_ahead=2)
+            tuned = base.derive(compile_ahead=2)
 
         Args:
             **overrides: any :class:`NetworkConfig` field.  Unknown

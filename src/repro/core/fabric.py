@@ -31,8 +31,6 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter_ns
 from typing import Iterable, List
 
-import os
-
 from ..errors import RoutingInvariantError
 from ..obs.events import CompositeObserver, FaultEvent
 from .brsmn import RoutingResult
@@ -143,14 +141,15 @@ class MulticastFabric:
     With ``control`` on the config, a
     :class:`~repro.control.plane.ControlPlane` watches the fabric's
     event stream and retunes the bound actuators (admission rate and
-    reserve, compile-ahead depth, shard worker target, retry backoff)
+    reserve, compile-ahead depth, retry backoff)
     once per submission tick; decisions are logged on
     :attr:`MulticastFabric.control` and emitted as
     :class:`~repro.obs.events.ControlEvent` samples.  With
     ``snapshot_path``, :meth:`close` writes a warm-restart
     :class:`~repro.resilience.snapshot.FabricSnapshot` there and the
     constructor restores from an existing file (a missing file is a
-    cold start).
+    cold start, and so is an unreadable or mismatched one, counted as a
+    ``snapshot_rejected`` resilience event).
 
     When the config carries a non-empty fault plan, the fabric runs the
     self-healing layer: every frame submitted to the (faulty) primary
@@ -235,7 +234,6 @@ class MulticastFabric:
             self.control.bind(
                 gate=self.gate,
                 pipeline=getattr(self.network, "pipeline", None),
-                router=getattr(self.network, "_sharded", None),
                 breaker=self.breaker,
                 retry_policy=base_retry,
                 retry_setter=(
@@ -246,12 +244,10 @@ class MulticastFabric:
             )
         self.snapshot_path = cfg.snapshot_path
         self._closed = False
-        if self.snapshot_path is not None and os.path.exists(
-            self.snapshot_path
-        ):
+        if self.snapshot_path is not None:
             from ..resilience.snapshot import FabricSnapshot  # deferred
 
-            FabricSnapshot.load(self.snapshot_path).restore(self)
+            FabricSnapshot.warm_start(self, self.snapshot_path)
 
     def submit(self, assignment: MulticastAssignment, priority: int = 0):
         """Route one frame, updating the session statistics.
@@ -270,7 +266,7 @@ class MulticastFabric:
         cadence, so the adaptive loops see overload as it happens.
         """
         # A submit after close() transparently restarts the session
-        # (the pools re-spawn lazily), so the next close() is live
+        # (the pool re-spawns lazily), so the next close() is live
         # again — it must persist the newly-accumulated state.
         self._closed = False
         if self.control is None:
@@ -425,13 +421,13 @@ class MulticastFabric:
 
         With ``compile_ahead > 0`` in the config, the run loop holds a
         sliding lookahead window of that depth over the sequence: each
-        upcoming frame is prefetched — its plan compiles on the worker
-        pool — while earlier frames route on this thread, so a stream
-        of cold assignments no longer stalls for a full compile per
-        frame.  Frame order, verification, statistics and results are
-        identical to the sequential loop; lookahead only moves compile
-        work off the critical path (and consumes generator inputs up to
-        ``compile_ahead`` frames early).
+        upcoming frame is prefetched — its plan compiles on the
+        compile-ahead thread — while earlier frames route on this
+        thread, so a stream of cold assignments no longer stalls for a
+        full compile per frame.  Frame order, verification, statistics
+        and results are identical to the sequential loop; lookahead
+        only moves compile work off the critical path (and consumes
+        generator inputs up to ``compile_ahead`` frames early).
         """
         lookahead = getattr(self.network, "compile_ahead", 0)
         if lookahead <= 0:
@@ -451,14 +447,14 @@ class MulticastFabric:
         return self.stats
 
     def close(self) -> None:
-        """Release parallel-engine resources (worker threads).
+        """Release the compile-ahead thread.
 
         Idempotent and optional — a closed fabric transparently
         restarts its pool on the next submit; see
         :meth:`~repro.core.brsmn.BRSMN.close`.  The standby plane is
         closed in a ``finally`` so a raising primary drain can never
-        leak its worker threads.  With ``snapshot_path`` on the config
-        a warm-restart snapshot is written first (before the pools
+        leak its compile-ahead thread.  With ``snapshot_path`` on the
+        config a warm-restart snapshot is written first (before the pool
         drain), so the next fabric constructed with the same path
         restores warm.  A second ``close()`` with no submit in between
         is a no-op: in particular it does *not* re-persist the snapshot

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from time import perf_counter_ns
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -245,11 +246,8 @@ class FramePlan:
           coerced to) — idle outputs and fault casualties deliver
           ``None``, matching :meth:`apply`;
         * a *numeric* ndarray (any non-object dtype) — the gather runs
-          as :func:`numpy.take`, which releases the GIL for simple
-          dtypes, so the sharded batch router
-          (:mod:`repro.parallel.shard`) scales across threads; idle
-          outputs and casualties deliver the dtype's zero (there is no
-          ``None`` in a numeric array).  The result keeps the input
+          as :func:`numpy.take`; idle outputs and casualties deliver
+          the dtype's zero (there is no ``None`` in a numeric array).  The result keeps the input
           dtype.
 
         Args:
@@ -563,48 +561,59 @@ def assignment_used_mask(assignment: MulticastAssignment, n: int) -> np.ndarray:
 
 @dataclass
 class PlanCache:
-    """An LRU cache of compiled :class:`FramePlan` objects.
+    """An LRU cache of compiled :class:`FramePlan` objects with
+    single-flight compiles.
 
     Keyed on the canonical assignment fingerprint
     (:func:`repro.core.serialization.assignment_fingerprint`), so two
     structurally identical assignments share one compiled plan no
     matter how they were constructed.
 
-    The cache is thread-safe: the hit/miss counters and the LRU map are
-    only touched under one internal mutex, and
-    :class:`~repro.obs.events.CacheEvent` emission happens *outside*
-    the critical section — the event payloads (sizes included) are
-    snapshotted under the lock, then delivered in that deterministic
-    order, so a slow observer can never stall (or deadlock with)
-    another routing thread.  Compilation also runs outside the lock;
-    concurrent misses on the same key may therefore compile twice here
-    (first insert wins, both callers get the same retained plan) — the
-    multi-worker engine's
-    :class:`~repro.parallel.plan_cache.ConcurrentPlanCache` adds
-    single-flight deduplication on top for exactly that case.
+    The cache is thread-safe under one mutex and keeps an exact global
+    LRU order.  Its concurrent callers are the submitting thread and
+    the compile-ahead thread (:mod:`repro.parallel.pipeline`).  A hit
+    costs one lock acquire, a dict lookup and ``move_to_end``.  A miss
+    registers an in-flight :class:`~concurrent.futures.Future` under
+    the lock and compiles *outside* it; concurrent misses on the same
+    key find that future, are counted as :attr:`coalesced`, and wait
+    for the leader's plan instead of compiling again.  If the leader's
+    compile raises, every waiter re-raises the same exception and the
+    key stays uncached, so the next lookup retries.
+
+    :class:`~repro.obs.events.CacheEvent` payloads (sizes included)
+    are snapshotted under the lock and delivered outside it, in that
+    order, so a slow observer can never stall another thread.
 
     Attributes:
         maxsize: maximum retained plans (least-recently-used eviction).
         hits: lookups answered from the cache.
-        misses: lookups that had to compile.
+        misses: lookups that compiled (the single-flight leaders).
         observer: optional :class:`~repro.obs.events.Observer` receiving
             a :class:`~repro.obs.events.CacheEvent` per hit, miss,
-            eviction and clear.
+            coalesced wait, eviction and clear.
+        coalesced: lookups that waited on another thread's in-flight
+            compile of the same key.
     """
 
     maxsize: int = 256
     hits: int = 0
     misses: int = 0
     observer: Optional[object] = None
+    coalesced: int = 0
     _plans: "OrderedDict[str, FramePlan]" = field(default_factory=OrderedDict)
     # Each entry's source assignment, retained for warm-restart
     # snapshots: fingerprints are one-way hashes, so without the
     # assignment a snapshot could name cached plans but never rebuild
     # them (see repro.resilience.snapshot).
     _assignments: Dict[str, MulticastAssignment] = field(default_factory=dict)
+    _inflight: Dict[str, Future] = field(default_factory=dict)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
+
+    def __post_init__(self):
+        if self.maxsize < 1:
+            raise ValueError(f"maxsize must be >= 1, got {self.maxsize}")
 
     @staticmethod
     def make_key(assignment: MulticastAssignment, extra_key: str = "") -> str:
@@ -629,27 +638,24 @@ class PlanCache:
             return len(self._plans)
 
     @property
-    def coalesced(self) -> int:
-        """Misses served by another thread's in-flight compile (always
-        0 here; the concurrent subclass counts real coalescing)."""
-        return 0
-
-    @property
     def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache."""
+        """Fraction of lookups served without compiling (hits plus
+        coalesced waits over all lookups)."""
         with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
+            served = self.hits + self.coalesced
+            total = served + self.misses
+            return served / total if total else 0.0
 
     def contains(
         self, assignment: MulticastAssignment, extra_key: str = ""
     ) -> bool:
-        """True when the assignment's plan is cached (no LRU refresh,
-        no counter or event side effects) — the compile-ahead
-        pipeline's cheap pre-check."""
+        """True when the assignment's plan is cached *or already
+        compiling* (no LRU refresh, no counter or event side effects) —
+        the compile-ahead pipeline's cheap pre-check.  In-flight counts
+        because a prefetch scheduled on top of it would only coalesce."""
         key = self.make_key(assignment, extra_key)
         with self._lock:
-            return key in self._plans
+            return key in self._plans or key in self._inflight
 
     def get(
         self,
@@ -657,7 +663,7 @@ class PlanCache:
         compile_fn: Callable[[MulticastAssignment], FramePlan] = compile_frame_plan,
         extra_key: str = "",
     ) -> Tuple[FramePlan, bool]:
-        """Fetch (or compile and memoise) the plan for an assignment.
+        """Fetch — or compile exactly once and memoise — a plan.
 
         Args:
             assignment: the assignment to look up.
@@ -669,7 +675,8 @@ class PlanCache:
 
         Returns:
             ``(plan, hit)`` — ``hit`` is True when the plan came from
-            the cache.
+            the cache or from a coalesced wait (the caller paid no
+            compile).
         """
         key = self.make_key(assignment, extra_key)
         with self._lock:
@@ -678,28 +685,39 @@ class PlanCache:
                 self.hits += 1
                 self._plans.move_to_end(key)
                 events = [("hit", key, len(self._plans))]
+                leader = False
             else:
-                self.misses += 1
-                events = [("miss", key, len(self._plans))]
+                future = self._inflight.get(key)
+                leader = future is None
+                if leader:
+                    future = self._inflight[key] = Future()
+                    self.misses += 1
+                    events = [("miss", key, len(self._plans))]
+                else:
+                    self.coalesced += 1
+                    events = [("coalesced", key, len(self._plans))]
         self._emit(events)
         if plan is not None:
             return plan, True
-        plan = compile_fn(assignment)
+        if not leader:
+            return future.result(), True
+        try:
+            plan = compile_fn(assignment)
+        except BaseException as exc:
+            with self._lock:
+                self._inflight.pop(key, None)
+            future.set_exception(exc)
+            raise
         events = []
         with self._lock:
-            raced = self._plans.get(key)
-            if raced is not None:
-                # Another thread compiled and inserted first; keep its
-                # plan so every caller shares one object.
-                plan = raced
-                self._plans.move_to_end(key)
-            else:
-                self._plans[key] = plan
-                self._assignments[key] = assignment
-                while len(self._plans) > self.maxsize:
-                    evicted, _ = self._plans.popitem(last=False)
-                    self._assignments.pop(evicted, None)
-                    events.append(("evict", evicted, len(self._plans)))
+            self._plans[key] = plan
+            self._assignments[key] = assignment
+            self._inflight.pop(key, None)
+            while len(self._plans) > self.maxsize:
+                evicted, _ = self._plans.popitem(last=False)
+                self._assignments.pop(evicted, None)
+                events.append(("evict", evicted, len(self._plans)))
+        future.set_result(plan)
         self._emit(events)
         return plan, False
 
@@ -715,11 +733,17 @@ class PlanCache:
             ]
 
     def clear(self) -> None:
-        """Drop every cached plan and reset the counters."""
+        """Drop every cached plan and reset the counters.
+
+        In-flight compiles are not cancelled: their leaders insert when
+        they finish and their waiters keep their futures, so nobody
+        deadlocks.
+        """
         with self._lock:
             self._plans.clear()
             self._assignments.clear()
             self.hits = 0
             self.misses = 0
+            self.coalesced = 0
             events = [("clear", "", 0)]
         self._emit(events)

@@ -19,20 +19,15 @@ plus :class:`QueueDepth` samples from the
 :class:`FaultEvent` notifications from the fault-injection / healing
 layer (:mod:`repro.faults`): injections that touched traffic, detected
 casualties, retries, recoveries, losses and plane quarantine
-transitions, and :class:`ParallelEvent` samples from the multi-worker
-throughput engine (:mod:`repro.parallel`): shard / compile task
-lifecycle, worker-pool utilisation and compile-queue depth.  The
-multiprocess backend (:mod:`repro.parallel.process`) adds
-:class:`ProcessEvent` samples: process-pool shard tasks, plan-envelope
-shipments (full / slim / cache-miss refetch), shared-memory placement
-and pool respawns after a worker-process crash.  The
-single-flight plan cache additionally reuses :class:`CacheEvent` with
-``kind="coalesced"`` for lookups that piggybacked on another thread's
-in-flight compilation.  The overload-resilience layer
-(:mod:`repro.resilience`) emits :class:`ResilienceEvent` samples:
-admission decisions, deadline expiries, circuit-breaker transitions,
-crash-safe shard recoveries and warm-restart snapshots.  The adaptive
-control plane (:mod:`repro.control`) emits :class:`ControlEvent`
+transitions, and :class:`ParallelEvent` samples from the compile-ahead
+pipeline (:mod:`repro.parallel`): compile task lifecycle, pool
+utilisation and compile-queue depth.  The single-flight plan cache
+additionally reuses :class:`CacheEvent` with ``kind="coalesced"`` for
+lookups that piggybacked on another thread's in-flight compilation.
+The overload-resilience layer (:mod:`repro.resilience`) emits
+:class:`ResilienceEvent` samples: admission decisions, deadline
+expiries, circuit-breaker transitions and warm-restart snapshots.
+The adaptive control plane (:mod:`repro.control`) emits :class:`ControlEvent`
 samples: one per control tick plus one per actuator adjustment.  The
 multi-replica serving tier (:mod:`repro.cluster`) emits
 :class:`ClusterEvent` samples: per-replica frame placement, requeues
@@ -61,7 +56,6 @@ __all__ = [
     "QueueDepth",
     "FaultEvent",
     "ParallelEvent",
-    "ProcessEvent",
     "ResilienceEvent",
     "ControlEvent",
     "ClusterEvent",
@@ -161,10 +155,10 @@ class CacheEvent:
     """The plan cache answered a lookup or evicted an entry.
 
     Attributes:
-        kind: ``"hit"``, ``"miss"``, ``"evict"``, ``"clear"`` or —
-            concurrent caches only — ``"coalesced"`` (a miss that
-            waited on another thread's in-flight compilation of the
-            same key instead of compiling again).
+        kind: ``"hit"``, ``"miss"``, ``"evict"``, ``"clear"`` or
+            ``"coalesced"`` (a lookup that waited on another thread's
+            in-flight compilation of the same key instead of compiling
+            again).
         key: the assignment fingerprint involved (empty on ``clear``).
         size: cached plans after the event.
         t_ns: ``perf_counter_ns`` timestamp of the emission.
@@ -226,20 +220,18 @@ class FaultEvent:
 class ParallelEvent:
     """A worker-pool or compile-ahead lifecycle sample.
 
-    Emitted by the multi-worker throughput engine
-    (:mod:`repro.parallel`) whenever a task starts or finishes on the
-    pool, or the compile-ahead pipeline enqueues / completes a prefetch
-    compilation.  Gauge-like fields (``busy``, ``queue_depth``) carry
-    the value *after* the event, so a metrics observer can mirror them
-    directly.
+    Emitted by :mod:`repro.parallel` whenever a task starts or
+    finishes on the pool, or the compile-ahead pipeline enqueues /
+    drops a prefetch compilation.  Gauge-like fields (``busy``,
+    ``queue_depth``) carry the value *after* the event, so a metrics
+    observer can mirror them directly.
 
     Attributes:
         action: ``"start"`` (a task began running on a worker),
             ``"done"`` (it finished), ``"enqueue"`` (the compile-ahead
             pipeline accepted a prefetch) or ``"drop"`` (the prefetch
             was declined: queue full, already cached or in flight).
-        kind: task family — ``"shard"`` (one slice of a sharded payload
-            batch) or ``"compile"`` (a plan compilation).
+        kind: task family — ``"compile"`` (a plan compilation).
         workers: configured worker-pool size.
         busy: workers running a task after this event.
         queue_depth: compile-ahead prefetches pending after this event.
@@ -255,62 +247,24 @@ class ParallelEvent:
 
 
 @dataclass(frozen=True)
-class ProcessEvent:
-    """A multiprocess-backend lifecycle sample.
-
-    Emitted by the process-pool sharding backend
-    (:class:`~repro.parallel.process.ProcessShardRouter`) from the
-    *parent* side only — observers never cross the process boundary.
-    Gauge-like fields (``workers``, ``busy``) carry the value after the
-    event, mirroring :class:`ParallelEvent`.
-
-    Attributes:
-        action: ``"start"`` (a shard task was submitted to the pool),
-            ``"done"`` (its result was merged), ``"envelope"`` (a plan
-            envelope was shipped — see ``kind``), ``"shm"`` (payload
-            bytes were placed in shared memory; ``bytes`` carries the
-            segment size) or ``"respawn"`` (the pool was recreated
-            after a worker process died).
-        kind: for tasks, the payload path — ``"shard_shm"``
-            (shared-memory numeric view) or ``"shard_pickled"``
-            (pickled object-dtype chunk); for ``"envelope"`` events,
-            the shipment kind — ``"full"`` (fingerprint + arrays),
-            ``"slim"`` (fingerprint only, worker cache assumed warm) or
-            ``"miss"`` (a slim shipment missed the worker's local cache
-            and the arrays were re-sent).
-        workers: configured process-pool size.
-        busy: shard tasks in flight after this event.
-        bytes: shared-memory bytes involved (``"shm"`` events only).
-        t_ns: ``perf_counter_ns`` timestamp of the emission.
-    """
-
-    action: str
-    kind: str = ""
-    workers: int = 0
-    busy: int = 0
-    bytes: int = 0
-    t_ns: int = 0
-
-
-@dataclass(frozen=True)
 class ResilienceEvent:
     """Something happened on the overload-resilience path.
 
     Emitted by the :mod:`repro.resilience` layer (admission gate,
-    circuit breaker, deadline budget, crash-safe shard router, warm
-    restart) so overload behaviour shows up in the same observer
-    stream — and the same ``repro_resilience_*`` metric families — as
-    ordinary routing.
+    circuit breaker, deadline budget, warm restart) so overload
+    behaviour shows up in the same observer stream — and the same
+    ``repro_resilience_*`` metric families — as ordinary routing.
 
     Attributes:
         action: ``"admitted"`` / ``"shed"`` (admission decisions),
             ``"deadline_expired"`` (a budget ran out mid-serve),
             ``"breaker_open"`` / ``"breaker_half_open"`` /
             ``"breaker_closed"`` (circuit-breaker transitions),
-            ``"short_circuit"`` (a call denied by an open breaker),
-            ``"shard_requeued"`` / ``"shard_inline"`` (crash-safe
-            batch routing recoveries), or ``"snapshot_saved"`` /
-            ``"snapshot_restored"`` (warm restart).
+            ``"short_circuit"`` (a call denied by an open breaker), or
+            ``"snapshot_saved"`` / ``"snapshot_restored"`` /
+            ``"snapshot_rejected"`` (warm restart; a rejected snapshot
+            was unreadable or did not match the fabric, which then
+            started cold).
         scope: which guarded resource the event concerns (a breaker's
             scope label, empty elsewhere).
         priority: admission events — the frame's priority class.
@@ -443,9 +397,6 @@ class Observer:
     def on_parallel(self, event: ParallelEvent) -> None:
         """The worker pool / compile-ahead pipeline reported an event."""
 
-    def on_process(self, event: ProcessEvent) -> None:
-        """The multiprocess sharding backend reported an event."""
-
     def on_resilience(self, event: ResilienceEvent) -> None:
         """The overload-resilience layer reported an event."""
 
@@ -510,10 +461,6 @@ class CompositeObserver(Observer):
     def on_parallel(self, event: ParallelEvent) -> None:
         for o in self.observers:
             o.on_parallel(event)
-
-    def on_process(self, event: ProcessEvent) -> None:
-        for o in self.observers:
-            o.on_process(event)
 
     def on_resilience(self, event: ResilienceEvent) -> None:
         for o in self.observers:

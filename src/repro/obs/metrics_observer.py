@@ -26,12 +26,6 @@ metric                                  type       source event
 ``repro_parallel_workers_busy``         gauge      ParallelEvent.busy
 ``repro_parallel_compile_queue_depth``  gauge      ParallelEvent.queue_depth
 ``repro_parallel_coalesced_total``      counter    CacheEvent "coalesced"
-``repro_parallel_proc_tasks_total{kind}``  counter  ProcessEvent "done"
-``repro_parallel_proc_workers``         gauge      ProcessEvent.workers
-``repro_parallel_proc_busy``            gauge      ProcessEvent.busy
-``repro_parallel_proc_respawns_total``  counter    ProcessEvent "respawn"
-``repro_parallel_proc_envelopes_total{kind}``  counter  ProcessEvent "envelope"
-``repro_parallel_proc_shm_bytes_total``  counter   ProcessEvent "shm"
 ``repro_faults_injected_total{kind}``   counter    FaultEvent "injected"
 ``repro_faults_detected_total``         counter    FaultEvent "detected"
 ``repro_faults_retries_total``          counter    FaultEvent "retry"
@@ -45,15 +39,12 @@ metric                                  type       source event
 ``repro_resilience_breaker_transitions_total{state}``  counter  ResilienceEvent "breaker_*"
 ``repro_resilience_breaker_state{scope}``  gauge   ResilienceEvent "breaker_*"
 ``repro_resilience_short_circuits_total``  counter  ResilienceEvent "short_circuit"
-``repro_resilience_shard_requeues_total``  counter  ResilienceEvent "shard_requeued"
-``repro_resilience_shard_inline_total``  counter   ResilienceEvent "shard_inline"
 ``repro_resilience_snapshot_total{action}``  counter  ResilienceEvent "snapshot_*"
 ``repro_control_ticks_total``           counter    ControlEvent "tick"
 ``repro_control_decisions_total{controller,parameter}``  counter  ControlEvent "adjust"
 ``repro_control_admission_rate``        gauge      ControlEvent "adjust" rate
 ``repro_control_admission_reserve``     gauge      ControlEvent "adjust" reserve
 ``repro_control_compile_ahead_depth``   gauge      ControlEvent "adjust" depth
-``repro_control_worker_target``         gauge      ControlEvent "adjust" worker_target
 ``repro_control_backoff_scale``         gauge      ControlEvent "adjust" backoff_scale
 ``repro_cluster_frames_total{replica}`` counter    ClusterEvent "submitted"/"requeued"/"spillover"
 ``repro_cluster_requeues_total``        counter    ClusterEvent "requeued"
@@ -70,9 +61,9 @@ Latency histograms use power-of-two nanosecond buckets
 (:func:`~repro.obs.metrics.log2_buckets`), fanout/depth histograms use
 power-of-two count buckets.
 
-The observer is thread-safe: the multi-worker engine
-(:mod:`repro.parallel`) emits shard / compile / cache events from pool
-threads concurrently with the submitting thread, so every handler folds
+The observer is thread-safe: the compile-ahead pipeline
+(:mod:`repro.parallel`) emits compile / cache events from its pool
+thread concurrently with the submitting thread, so every handler folds
 its event into the registry under one internal mutex.
 """
 
@@ -90,7 +81,6 @@ from .events import (
     LevelSpan,
     Observer,
     ParallelEvent,
-    ProcessEvent,
     QueueDepth,
     ResilienceEvent,
 )
@@ -169,7 +159,7 @@ class MetricsObserver(Observer):
         )
         self._parallel_tasks = r.counter(
             "repro_parallel_tasks_total",
-            "Worker-pool tasks completed, by kind (shard / compile).",
+            "Worker-pool tasks completed, by kind (compile).",
             ("kind",),
         )
         self._parallel_workers = r.gauge(
@@ -187,36 +177,6 @@ class MetricsObserver(Observer):
             "repro_parallel_coalesced_total",
             "Plan-cache misses coalesced onto an in-flight compile "
             "(single-flight deduplication).",
-        )
-        self._proc_tasks = r.counter(
-            "repro_parallel_proc_tasks_total",
-            "Process-pool shard tasks completed, by payload path "
-            "(shard_shm / shard_pickled).",
-            ("kind",),
-        )
-        self._proc_workers = r.gauge(
-            "repro_parallel_proc_workers", "Configured process-pool size."
-        )
-        self._proc_busy = r.gauge(
-            "repro_parallel_proc_busy",
-            "Process-pool shard tasks in flight after the last sample.",
-        )
-        self._proc_respawns = r.counter(
-            "repro_parallel_proc_respawns_total",
-            "Process pools recreated after a worker process died "
-            "(a crash poisons the whole executor).",
-        )
-        self._proc_envelopes = r.counter(
-            "repro_parallel_proc_envelopes_total",
-            "Plan envelopes shipped to worker processes, by kind "
-            "(full / slim / miss, where miss counts slim shipments "
-            "that missed the worker's local plan cache).",
-            ("kind",),
-        )
-        self._proc_shm_bytes = r.counter(
-            "repro_parallel_proc_shm_bytes_total",
-            "Bytes placed in shared-memory segments for zero-copy "
-            "payload shards (input + output, per batch).",
         )
         self._faults_injected = r.counter(
             "repro_faults_injected_total",
@@ -275,17 +235,9 @@ class MetricsObserver(Observer):
             "repro_resilience_short_circuits_total",
             "Frames short-circuited away from an open breaker's plane.",
         )
-        self._res_shard_requeues = r.counter(
-            "repro_resilience_shard_requeues_total",
-            "Crashed batch shards resubmitted to the worker pool.",
-        )
-        self._res_shard_inline = r.counter(
-            "repro_resilience_shard_inline_total",
-            "Batch shards recovered inline on the submitting thread.",
-        )
         self._res_snapshot = r.counter(
             "repro_resilience_snapshot_total",
-            "Warm-restart snapshots taken/restored, by action.",
+            "Warm-restart snapshots taken/restored/rejected, by action.",
             ("action",),
         )
         self._control_ticks = r.counter(
@@ -310,10 +262,6 @@ class MetricsObserver(Observer):
             "repro_control_compile_ahead_depth",
             "Compile-ahead prefetch depth currently set by the control "
             "plane.",
-        )
-        self._control_workers = r.gauge(
-            "repro_control_worker_target",
-            "Shard worker target currently set by the control plane.",
         )
         self._control_backoff = r.gauge(
             "repro_control_backoff_scale",
@@ -419,21 +367,6 @@ class MetricsObserver(Observer):
             if event.action == "done":
                 self._parallel_tasks.inc(1, kind=event.kind)
 
-    def on_process(self, event: ProcessEvent) -> None:
-        """Fold a multiprocess-backend sample into the
-        ``repro_parallel_proc_*`` families."""
-        with self._lock:
-            self._proc_workers.set(event.workers)
-            self._proc_busy.set(event.busy)
-            if event.action == "done":
-                self._proc_tasks.inc(1, kind=event.kind)
-            elif event.action == "respawn":
-                self._proc_respawns.inc(1)
-            elif event.action == "envelope":
-                self._proc_envelopes.inc(1, kind=event.kind)
-            elif event.action == "shm":
-                self._proc_shm_bytes.inc(event.bytes)
-
     def on_fault(self, event: FaultEvent) -> None:
         """Fold a fault-path event into the ``repro_faults_*`` families."""
         action = event.action
@@ -472,11 +405,9 @@ class MetricsObserver(Observer):
                 )
             elif action == "short_circuit":
                 self._res_short_circuits.inc(event.frames)
-            elif action == "shard_requeued":
-                self._res_shard_requeues.inc(1)
-            elif action == "shard_inline":
-                self._res_shard_inline.inc(1)
-            elif action in ("snapshot_saved", "snapshot_restored"):
+            elif action in (
+                "snapshot_saved", "snapshot_restored", "snapshot_rejected"
+            ):
                 self._res_snapshot.inc(1, action=action)
 
     def on_cluster(self, event: ClusterEvent) -> None:
@@ -533,6 +464,5 @@ _CONTROL_GAUGES = {
     "rate": "_control_rate",
     "reserve": "_control_reserve",
     "depth": "_control_depth",
-    "worker_target": "_control_workers",
     "backoff_scale": "_control_backoff",
 }

@@ -1,67 +1,34 @@
-"""Multi-worker throughput engine for the fast routing path.
+"""Compile-ahead: overlap plan compilation with routing.
 
-The paper's BRSMN is a *parallel* fabric — every recursion level routes
-all of its blocks simultaneously — and the compiled fast engine
-(:mod:`repro.core.fastplan`) already turned one frame into a handful of
-NumPy gathers.  What remained serial was the *service* around it: one
-thread compiled plans, routed batches and fed the fabric.  This
-subpackage scales that service across a worker pool:
+The paper's BRSMN switches every block of a recursion level at the
+same time, and the compiled fast engine (:mod:`repro.core.fastplan`)
+already captures that parallelism: each level is one gather over a
+``(blocks, n')`` matrix.  What remains serial is the *compile* of a
+cold assignment, and this subpackage moves it off the submitting
+thread:
 
-* :class:`~repro.parallel.plan_cache.ConcurrentPlanCache` — a
-  lock-striped LRU plan cache with **single-flight compile
-  deduplication**: concurrent misses on the same assignment
-  fingerprint compile exactly once, every other thread waits on the
-  in-flight future and is counted as *coalesced*;
-* :class:`~repro.parallel.workers.WorkerPool` — a bounded executor
-  with busy-worker accounting, emitting
-  :class:`~repro.obs.events.ParallelEvent` samples so worker
-  utilisation is observable like everything else;
-* :class:`~repro.parallel.shard.ShardedBatchRouter` — splits a
-  ``(batch, n)`` payload matrix into contiguous zero-copy row shards,
-  routes each shard on the pool, and merges the results
-  deterministically (shard boundaries depend only on the batch shape
-  and worker count, never on timing);
-* :class:`~repro.parallel.pipeline.CompileAheadPipeline` — overlaps
-  :class:`~repro.core.fastplan.FramePlan` compilation with routing of
-  already-compiled frames: a bounded prefetch queue fed by
+* :class:`~repro.parallel.pipeline.CompileAheadPipeline` — a bounded
+  prefetch queue fed by
   :meth:`~repro.core.fabric.MulticastFabric.run` lookahead (and the
-  queueing simulator's next-slot packing) warms the cache on pool
-  threads while the submitting thread routes;
-* :class:`~repro.parallel.process.ProcessShardRouter` /
-  :class:`~repro.parallel.process.ProcessWorkerPool` — the
-  ``executor="process"`` backend: the same deterministic sharding
-  across worker *processes*, numeric payloads in
-  ``multiprocessing.shared_memory``, compiled plans shipped as
-  pickle-safe :class:`~repro.parallel.process.PlanEnvelope` objects
-  with a worker-local cache — the path past the GIL for object-dtype
-  batches and CPython-bound stages.
+  queueing simulator's next-slot packing) that warms the shared
+  :class:`~repro.core.fastplan.PlanCache` on a background thread while
+  the submitting thread routes; the cache's single-flight compiles make
+  a race between a prefetch and the router's own lookup benign;
+* :class:`~repro.parallel.workers.WorkerPool` — the one-thread
+  instrumented executor the pipeline runs on, emitting
+  :class:`~repro.obs.events.ParallelEvent` samples so its utilisation
+  is observable like everything else.
 
-Everything is configured through
-:class:`~repro.core.config.NetworkConfig` — ``workers=`` sizes the
-pool, ``executor=`` picks threads or processes, ``compile_ahead=``
-bounds the prefetch queue — and threaded through
-:class:`~repro.core.brsmn.BRSMN`,
-:class:`~repro.core.fabric.MulticastFabric`,
-:class:`~repro.core.arrivals.QueueingSimulator` and the
-``repro stats --workers N [--executor process]`` CLI.  See
-``docs/performance.md`` for tuning guidance (including why the NumPy
-gather kernels scale across *threads* despite the GIL) and
-``docs/executors.md`` for the thread-vs-process decision table.
+Enable it with ``NetworkConfig(engine="fast", compile_ahead=N)`` or
+``repro stats --compile-ahead N``.  Row-sharding a payload batch over
+threads or processes was removed: it never beat one worker on any
+measured host (see ``docs/performance.md``).
 """
 
-from .plan_cache import ConcurrentPlanCache
 from .pipeline import CompileAheadPipeline
-from .process import PlanEnvelope, ProcessShardRouter, ProcessWorkerPool
-from .shard import ShardedBatchRouter, shard_bounds
 from .workers import WorkerPool
 
 __all__ = [
     "CompileAheadPipeline",
-    "ConcurrentPlanCache",
-    "PlanEnvelope",
-    "ProcessShardRouter",
-    "ProcessWorkerPool",
-    "ShardedBatchRouter",
     "WorkerPool",
-    "shard_bounds",
 ]

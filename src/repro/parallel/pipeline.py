@@ -11,14 +11,15 @@ assignments about to be routed, and the compile happens on a
 thread routes already-warm frames.  By the time the cold frame is up,
 its plan is cached — or at worst in flight, in which case the routing
 thread's own lookup *coalesces* onto the prefetch instead of compiling
-(the :class:`~repro.parallel.plan_cache.ConcurrentPlanCache`
-single-flight guarantee makes the race benign in both directions).
+(the :class:`~repro.core.fastplan.PlanCache` single-flight guarantee
+makes the race benign in both directions).
 
 The queue is bounded by ``depth``: a prefetch beyond it is *dropped*,
 never queued — lookahead is an optimisation, and an unbounded compile
-backlog would steal workers from routing shards.  Drops are observable
-(``action="drop"`` :class:`~repro.obs.events.ParallelEvent`), and the
-pending count is exported as ``repro_parallel_compile_queue_depth``.
+backlog would compile plans long after their frames were routed.
+Drops are observable (``action="drop"``
+:class:`~repro.obs.events.ParallelEvent`), and the pending count is
+exported as ``repro_parallel_compile_queue_depth``.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from concurrent.futures import wait
 from time import perf_counter_ns
 from typing import Callable, Optional, Set
 
-from ..core.fastplan import FramePlan, compile_frame_plan
+from ..core.fastplan import FramePlan, PlanCache, compile_frame_plan
 from ..core.multicast import MulticastAssignment
 from ..obs.events import ParallelEvent
-from .plan_cache import ConcurrentPlanCache
 from .workers import WorkerPool
 
 __all__ = ["CompileAheadPipeline"]
@@ -41,10 +41,10 @@ class CompileAheadPipeline:
     """Bounded prefetch queue warming a plan cache on pool threads.
 
     Args:
-        cache: the shared plan cache prefetches compile into — a
-            :class:`~repro.parallel.plan_cache.ConcurrentPlanCache`
-            (or anything with its ``get`` / ``contains`` surface).
-        pool: worker pool compiles run on (shared with shard routing).
+        cache: the shared :class:`~repro.core.fastplan.PlanCache`
+            prefetches compile into (or anything with its ``get`` /
+            ``contains`` surface).
+        pool: worker pool compiles run on.
         depth: maximum prefetches pending at once (>= 1); further
             prefetches are dropped until one completes.
         compile_fn: plan compiler, passed through to ``cache.get``.
@@ -59,7 +59,7 @@ class CompileAheadPipeline:
 
     def __init__(
         self,
-        cache: ConcurrentPlanCache,
+        cache: PlanCache,
         pool: WorkerPool,
         depth: int = 2,
         compile_fn: Callable[[MulticastAssignment], FramePlan] = compile_frame_plan,

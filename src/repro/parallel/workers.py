@@ -1,16 +1,10 @@
 """Bounded worker pool with busy accounting and observability.
 
 :class:`WorkerPool` is a thin, instrumented wrapper around
-:class:`concurrent.futures.ThreadPoolExecutor`.  Threads are the
-default vehicle because the fast engine's hot loops are NumPy gather
-kernels, and ``np.take`` on numeric dtypes releases the GIL for the
-duration of the copy, so shards genuinely overlap on multicore hosts
-while plans, payload views and the output matrix are shared zero-copy.
-Workloads the GIL *does* serialise — object-dtype payloads, healing
-verify loops — scale through the process twin instead
-(``NetworkConfig(executor="process")``,
-:class:`~repro.parallel.process.ProcessWorkerPool`); see
-``docs/executors.md`` for the decision table.
+:class:`concurrent.futures.ThreadPoolExecutor`.  The compile-ahead
+pipeline (:mod:`repro.parallel.pipeline`) runs its background plan
+compiles on a one-thread pool, sharing compiled plans with the
+submitting thread through the plan cache.
 
 Every task emits a pair of :class:`~repro.obs.events.ParallelEvent`
 samples (``start`` / ``done``) carrying the pool size, the busy-worker
@@ -36,18 +30,16 @@ class WorkerPool:
     """A lazily-started, instrumented thread pool of fixed size.
 
     Args:
-        workers: pool size (>= 1).  A 1-worker pool is valid — the
-            sharded router then routes inline and only compile-ahead
-            uses the thread.
+        workers: pool size (>= 1); the compile-ahead pipeline uses 1.
         observer: optional :class:`~repro.obs.events.Observer`
             receiving ``start`` / ``done``
             :class:`~repro.obs.events.ParallelEvent` samples.
 
-    The underlying executor is created on first :meth:`submit`, so
-    configuring ``workers=4`` costs nothing until parallel work is
-    actually dispatched.  :attr:`depth_fn` may be pointed at a queue
-    depth source (the compile-ahead pipeline registers its pending
-    count) so emitted events carry the current prefetch backlog.
+    The underlying executor is created on first :meth:`submit`, so a
+    pool costs nothing until work is actually dispatched.
+    :attr:`depth_fn` may be pointed at a queue depth source (the
+    compile-ahead pipeline registers its pending count) so emitted
+    events carry the current prefetch backlog.
     """
 
     def __init__(self, workers: int, observer: Optional[object] = None):
@@ -83,8 +75,8 @@ class WorkerPool:
         """Dispatch ``fn(*args, **kwargs)`` to the pool.
 
         Args:
-            kind: task label for observability (``"shard"`` or
-                ``"compile"``); becomes the ``kind`` label of
+            kind: task label for observability (``"compile"`` for
+                the pipeline); becomes the ``kind`` label of
                 ``repro_parallel_tasks_total``.
 
         Returns:

@@ -1,12 +1,12 @@
 """Deadline budgets: one wall-clock allowance per serving attempt.
 
 A frame submitted under overload must be *accounted, never hung*: the
-healing loop's retries, the sharded router's future waits and the
-queueing simulator's in-slot repairs all need to stop when the caller's
-latency allowance is spent.  :class:`DeadlineBudget` is the single
-object carried down those paths — started once at submission, consulted
-(``expired`` / ``remaining_s``) at every blocking point, and used to
-clamp backoff sleeps so a retry never sleeps past the deadline.
+healing loop's retries and the queueing simulator's in-slot repairs
+both need to stop when the caller's latency allowance is spent.
+:class:`DeadlineBudget` is the single object carried down those paths
+— started once at submission, consulted (``expired`` /
+``remaining_s``) at every blocking point, and used to clamp backoff
+sleeps so a retry never sleeps past the deadline.
 
 A budget with ``deadline_ms=None`` is unlimited: ``expired`` is always
 False and every clamp is the identity, so call sites thread the budget

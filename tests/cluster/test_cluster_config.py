@@ -69,5 +69,5 @@ class TestDerive:
 
     def test_derive_network(self):
         cfg = ClusterConfig(replicas=2, network=net())
-        out = cfg.derive(network=cfg.network.derive(workers=2))
-        assert out.network.workers == 2
+        out = cfg.derive(network=cfg.network.derive(compile_ahead=2))
+        assert out.network.compile_ahead == 2

@@ -7,12 +7,8 @@ import pytest
 from repro.control import ControlPlane, ControlPolicy, SignalAggregator
 from repro.obs import MetricsObserver, Observer
 from repro.obs.events import FaultEvent, FrameDone, ResilienceEvent
-from repro.parallel import (
-    CompileAheadPipeline,
-    ConcurrentPlanCache,
-    ShardedBatchRouter,
-    WorkerPool,
-)
+from repro.core.fastplan import PlanCache
+from repro.parallel import CompileAheadPipeline, WorkerPool
 from repro.resilience import AdmissionGate, AdmissionPolicy
 from repro.faults import RetryPolicy
 
@@ -131,37 +127,18 @@ class TestGateActuation:
 class TestPipelineAndWorkerActuation:
     @pytest.fixture()
     def pool(self):
-        p = WorkerPool(3)
+        p = WorkerPool(1)
         yield p
         p.shutdown()
 
     def test_idle_window_shrinks_pipeline_depth(self, pool):
         pipeline = CompileAheadPipeline(
-            ConcurrentPlanCache(maxsize=8), pool, depth=3
+            PlanCache(maxsize=8), pool, depth=3
         )
         plane = ControlPlane(ControlPolicy())
         plane.bind(pipeline=pipeline)
         plane.tick()
         assert pipeline.depth == 2
-
-    def test_drained_queue_parks_workers(self, pool):
-        router = ShardedBatchRouter(pool)
-        plane = ControlPlane(ControlPolicy(backlog_low=2.0))
-        plane.bind(router=router)
-        assert router.effective_workers == 3
-        plane.tick(queue_depth=0)
-        assert router.effective_workers == 2
-        plane.tick(queue_depth=0)
-        assert router.effective_workers == 1
-
-    def test_backlog_raises_worker_target_up_to_pool(self, pool):
-        router = ShardedBatchRouter(pool)
-        router.set_worker_target(1)
-        plane = ControlPlane(ControlPolicy(backlog_high=5.0))
-        plane.bind(router=router)
-        for _ in range(5):
-            plane.tick(queue_depth=10)
-        assert router.effective_workers == 3  # capped at pool size
 
 
 class TestBackoffActuation:

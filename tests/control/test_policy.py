@@ -42,7 +42,6 @@ class TestValidationNamesTheField:
             ({"depth_min": 4, "depth_max": 2}, "depth_max"),
             ({"drop_threshold": -0.1}, "drop_threshold"),
             ({"drop_threshold": 1.1}, "drop_threshold"),
-            ({"worker_min": 0}, "worker_min"),
             ({"half_open_backoff_scale": 0.5}, "half_open_backoff_scale"),
         ],
     )

@@ -4,7 +4,7 @@ legacy keyword surface."""
 import pytest
 
 from repro.core.brsmn import BRSMN
-from repro.core.config import EXECUTORS, IMPLEMENTATIONS, ENGINES, NetworkConfig
+from repro.core.config import IMPLEMENTATIONS, ENGINES, NetworkConfig
 from repro.core.fabric import MulticastFabric
 from repro.core.feedback import FeedbackBRSMN
 from repro.core.routing import build_network, route_multicast
@@ -44,29 +44,6 @@ class TestValidation:
     def test_bad_cache_size_rejected(self):
         with pytest.raises(ValueError):
             NetworkConfig(8, plan_cache_size=0)
-
-    def test_default_executor_is_thread(self):
-        assert NetworkConfig(8).executor == "thread"
-        assert "thread" in EXECUTORS and "process" in EXECUTORS
-
-    def test_bad_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            NetworkConfig(8, executor="fiber")
-
-    def test_process_executor_requires_fast_engine(self):
-        with pytest.raises(ValueError, match="engine='fast'"):
-            NetworkConfig(8, engine="reference", executor="process")
-
-    def test_process_executor_accepted_on_fast_engine(self):
-        cfg = NetworkConfig(8, engine="fast", workers=2, executor="process")
-        assert cfg.executor == "process"
-
-    def test_derive_can_switch_executor(self):
-        base = NetworkConfig(8, engine="fast", workers=4)
-        tuned = base.derive(executor="process")
-        assert tuned.executor == "process" and tuned.workers == 4
-        with pytest.raises(ValueError):
-            base.derive(engine="reference", executor="process")
 
     def test_frozen(self):
         cfg = NetworkConfig(8)
@@ -161,8 +138,8 @@ class TestLegacyKwargsRemoved:
 
 class TestDerive:
     def test_overrides_fields(self):
-        cfg = NetworkConfig(8).derive(engine="fast", workers=2)
-        assert cfg.engine == "fast" and cfg.workers == 2
+        cfg = NetworkConfig(8).derive(engine="fast", compile_ahead=2)
+        assert cfg.engine == "fast" and cfg.compile_ahead == 2
         assert cfg.n == 8
 
     def test_keeps_unrelated_fields(self):
@@ -176,6 +153,16 @@ class TestDerive:
     def test_unknown_field_named_in_error(self):
         with pytest.raises(ValueError, match="implemenation"):
             NetworkConfig(8).derive(implemenation="feedback")
+
+    @pytest.mark.parametrize(
+        "removed", [{"workers": 4}, {"executor": "process"}]
+    )
+    def test_removed_parallel_fields_named_in_error(self, removed):
+        (name,) = removed
+        with pytest.raises(ValueError, match=name):
+            NetworkConfig(8, engine="fast").derive(**removed)
+        with pytest.raises(TypeError, match=name):
+            NetworkConfig(8, engine="fast", **removed)
 
     def test_no_overrides_is_identity(self):
         cfg = NetworkConfig(8, engine="fast")

@@ -1,18 +1,17 @@
-"""ConcurrentPlanCache: striping, single-flight, events, fault keys."""
+"""PlanCache under threads: single-flight, events, fault keys."""
 
 from __future__ import annotations
 
 import random
 import threading
+import time
 
 import pytest
 
-import time
-
 from conftest import make_random_assignment
 from repro.core.fastplan import PlanCache, compile_frame_plan
+from repro.core.serialization import assignment_fingerprint
 from repro.obs.events import Observer
-from repro.parallel import ConcurrentPlanCache
 
 
 class Recorder(Observer):
@@ -36,7 +35,8 @@ def assignment(n=16, seed=0):
 
 class TestSingleFlight:
     def test_concurrent_misses_compile_exactly_once(self):
-        cache = ConcurrentPlanCache(maxsize=8)
+        obs = Recorder()
+        cache = PlanCache(maxsize=8, observer=obs)
         a = assignment(seed=1)
         entered = threading.Event()
         release = threading.Event()
@@ -74,9 +74,12 @@ class TestSingleFlight:
         assert len(plans) == 1
         # The one leader reports a miss, every waiter reports a hit.
         assert sorted(hit for _, hit in results) == [False] + [True] * 7
+        assert cache.hit_rate == pytest.approx(7 / 8)
+        # One CacheEvent per lookup: the leader's miss, 7 coalesced.
+        assert sorted(obs.kinds()) == ["coalesced"] * 7 + ["miss"]
 
     def test_coalesced_waiters_reraise_leader_failure_then_retry(self):
-        cache = ConcurrentPlanCache(maxsize=8)
+        cache = PlanCache(maxsize=8)
         a = assignment(seed=2)
         entered = threading.Event()
         release = threading.Event()
@@ -122,7 +125,7 @@ class TestSingleFlight:
         assert cache.contains(a)
 
     def test_contains_counts_inflight_compiles(self):
-        cache = ConcurrentPlanCache(maxsize=8)
+        cache = PlanCache(maxsize=8)
         a = assignment(seed=3)
         started = threading.Event()
         release = threading.Event()
@@ -146,11 +149,7 @@ class TestSingleFlight:
 class TestCacheSemantics:
     def test_hit_miss_counters_and_event_order(self):
         obs = Recorder()
-        # stripes=1: with multiple stripes the per-stripe quota is
-        # ceil(8/stripes), and whether two keys share a stripe depends
-        # on randomised string hashing — a single stripe makes the
-        # event stream deterministic.
-        cache = ConcurrentPlanCache(maxsize=8, observer=obs, stripes=1)
+        cache = PlanCache(maxsize=8, observer=obs)
         a, b = assignment(seed=4), assignment(seed=5)
         _, hit = cache.get(a)
         assert hit is False
@@ -163,31 +162,15 @@ class TestCacheSemantics:
         # Miss events snapshot the pre-insert size, hits the current.
         assert [e.size for e in obs.events] == [0, 1, 1]
 
-    def test_lru_eviction_within_stripe(self):
-        obs = Recorder()
-        cache = ConcurrentPlanCache(maxsize=2, observer=obs, stripes=1)
-        a, b, c = (assignment(seed=s) for s in (6, 7, 8))
-        cache.get(a)
-        cache.get(b)
-        cache.get(a)  # refresh a; b is now LRU
-        cache.get(c)  # evicts b
-        assert len(cache) == 2
-        assert cache.contains(a) and cache.contains(c)
-        assert not cache.contains(b)
-        assert obs.kinds() == ["miss", "miss", "hit", "miss", "evict"]
-        assert obs.events[-1].key == PlanCache.make_key(b)
-
     def test_total_capacity_is_bounded(self):
-        cache = ConcurrentPlanCache(maxsize=8, stripes=4)
+        cache = PlanCache(maxsize=8)
         for seed in range(40):
             cache.get(assignment(seed=seed))
-        # Per-stripe quota is ceil(8/4) = 2; total never exceeds
-        # quota * stripes even under a skewed key distribution.
-        assert len(cache) <= 8
+        assert len(cache) == 8
 
     def test_clear_resets_everything(self):
         obs = Recorder()
-        cache = ConcurrentPlanCache(maxsize=8, observer=obs)
+        cache = PlanCache(maxsize=8, observer=obs)
         cache.get(assignment(seed=9))
         cache.get(assignment(seed=9))
         cache.clear()
@@ -197,23 +180,20 @@ class TestCacheSemantics:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ConcurrentPlanCache(maxsize=0)
-        with pytest.raises(ValueError):
-            ConcurrentPlanCache(maxsize=4, stripes=0)
+            PlanCache(maxsize=0)
 
-    def test_share_keys_with_sequential_cache(self):
+    def test_keys_are_the_assignment_fingerprint(self):
         a = assignment(seed=10)
-        assert ConcurrentPlanCache.make_key(a) == PlanCache.make_key(a)
-        assert ConcurrentPlanCache.make_key(a, "fp") == PlanCache.make_key(
-            a, "fp"
-        )
+        fp = assignment_fingerprint(a)
+        assert PlanCache.make_key(a) == fp
+        assert PlanCache.make_key(a, "fp") == f"{fp}@fp"
 
 
 class TestFaultKeysUnderEviction:
     """`fingerprint@plan` keys stay correct under concurrent eviction."""
 
     def test_healthy_and_faulted_plans_never_collide(self):
-        cache = ConcurrentPlanCache(maxsize=4, stripes=2)
+        cache = PlanCache(maxsize=4)
         a = assignment(seed=11)
         stop = threading.Event()
         errors = []

@@ -9,9 +9,9 @@ import time
 import pytest
 
 from conftest import make_random_assignment
-from repro.core.fastplan import compile_frame_plan
+from repro.core.fastplan import PlanCache, compile_frame_plan
 from repro.obs.events import Observer
-from repro.parallel import CompileAheadPipeline, ConcurrentPlanCache, WorkerPool
+from repro.parallel import CompileAheadPipeline, WorkerPool
 
 
 class ParallelRecorder(Observer):
@@ -29,7 +29,7 @@ def assignment(seed, n=16):
 
 
 def test_prefetch_warms_the_cache():
-    cache = ConcurrentPlanCache(maxsize=8)
+    cache = PlanCache(maxsize=8)
     with WorkerPool(2) as pool:
         pipe = CompileAheadPipeline(cache, pool, depth=2)
         a = assignment(1)
@@ -46,7 +46,7 @@ def test_prefetch_warms_the_cache():
 
 
 def test_full_queue_drops_instead_of_blocking():
-    cache = ConcurrentPlanCache(maxsize=16)
+    cache = PlanCache(maxsize=16)
     release = threading.Event()
 
     def slow_compile(asg):
@@ -77,7 +77,7 @@ def test_full_queue_drops_instead_of_blocking():
 
 
 def test_routing_thread_coalesces_onto_prefetch():
-    cache = ConcurrentPlanCache(maxsize=8)
+    cache = PlanCache(maxsize=8)
     entered = threading.Event()
     release = threading.Event()
 
@@ -108,7 +108,7 @@ def test_routing_thread_coalesces_onto_prefetch():
 
 
 def test_failed_prefetch_never_sinks_the_run():
-    cache = ConcurrentPlanCache(maxsize=8)
+    cache = PlanCache(maxsize=8)
 
     def failing_compile(asg):
         raise RuntimeError("bad assignment")
@@ -128,7 +128,7 @@ def test_failed_prefetch_never_sinks_the_run():
 
 
 def test_depth_validation():
-    cache = ConcurrentPlanCache(maxsize=8)
+    cache = PlanCache(maxsize=8)
     with WorkerPool(1) as pool:
         with pytest.raises(ValueError):
             CompileAheadPipeline(cache, pool, depth=0)

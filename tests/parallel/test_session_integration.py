@@ -1,4 +1,4 @@
-"""Parallel config through the session facades: same answers, off-thread work."""
+"""Compile-ahead through the session facades: same answers, off-thread work."""
 
 from __future__ import annotations
 
@@ -11,14 +11,10 @@ from repro.workloads.hotspot import hotspot_session
 
 
 def test_config_validates_parallel_fields():
-    cfg = NetworkConfig(16, engine="fast", workers=4, compile_ahead=2)
-    assert (cfg.workers, cfg.compile_ahead) == (4, 2)
-    with pytest.raises(ValueError):
-        NetworkConfig(16, engine="fast", workers=0)
+    cfg = NetworkConfig(16, engine="fast", compile_ahead=2)
+    assert cfg.compile_ahead == 2
     with pytest.raises(ValueError):
         NetworkConfig(16, engine="fast", compile_ahead=-1)
-    with pytest.raises(ValueError):
-        NetworkConfig(16, workers=2)  # reference engine
     with pytest.raises(ValueError):
         NetworkConfig(16, compile_ahead=1)  # reference engine
 
@@ -27,7 +23,7 @@ def test_fabric_lookahead_session_matches_sequential():
     frames = hotspot_session(32, frames=30, seed=11)
     sequential = MulticastFabric(NetworkConfig(32, engine="fast")).run(frames)
     fabric = MulticastFabric(
-        NetworkConfig(32, engine="fast", workers=2, compile_ahead=2)
+        NetworkConfig(32, engine="fast", compile_ahead=2)
     )
     try:
         parallel = fabric.run(frames)
@@ -59,7 +55,7 @@ def test_queueing_simulator_prefetch_is_invisible_in_results():
     arrivals = poisson_arrivals(16, rate=1.5, slots=20, seed=13)
     plain = QueueingSimulator(NetworkConfig(16, engine="fast")).run(arrivals)
     sim = QueueingSimulator(
-        NetworkConfig(16, engine="fast", workers=2, compile_ahead=2)
+        NetworkConfig(16, engine="fast", compile_ahead=2)
     )
     try:
         prefetched = sim.run(arrivals)
@@ -72,7 +68,7 @@ def test_queueing_simulator_prefetch_is_invisible_in_results():
 
 
 def test_close_is_idempotent_and_restartable():
-    fabric = MulticastFabric(NetworkConfig(16, engine="fast", workers=2))
+    fabric = MulticastFabric(NetworkConfig(16, engine="fast", compile_ahead=1))
     frames = hotspot_session(16, frames=4, seed=1)
     fabric.run(frames)
     fabric.close()

@@ -1,19 +1,18 @@
-"""Concurrency stress + fault-batch property tests (ISSUE 6 satellite).
+"""Concurrency stress + fault-batch property tests.
 
 Two pins:
 
 * ``route_batch`` under a ``FaultPlan`` is bit-identical to routing the
-  same payload rows through sequential faulted ``route`` calls — the
-  "fault-aware batch routing" gap named at the end of CHANGES PR 3 —
-  and stays bit-identical when the batch is sharded across workers;
+  same payload rows through sequential faulted ``route`` calls;
 * eight concurrent fast routers sharing one
-  :class:`~repro.parallel.plan_cache.ConcurrentPlanCache` deliver
-  exactly what the reference engine delivers, frame for frame.
+  :class:`~repro.core.fastplan.PlanCache` deliver exactly what the
+  reference engine delivers, frame for frame.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 import numpy as np
@@ -23,8 +22,8 @@ from hypothesis import strategies as st
 from conftest import assignments, make_random_assignment
 from repro.core.brsmn import BRSMN
 from repro.core.config import NetworkConfig
+from repro.core.fastplan import PlanCache
 from repro.faults import FaultPlan
-from repro.parallel import ConcurrentPlanCache
 
 
 @settings(max_examples=20, deadline=None)
@@ -57,25 +56,6 @@ def test_faulted_route_batch_matches_sequential_routes(a, fault_seed, faults):
                 assert src == single.outputs[o].source
 
 
-@settings(max_examples=10, deadline=None)
-@given(a=assignments(min_m=2, max_m=4), fault_seed=st.integers(0, 2**16))
-def test_faulted_batch_identical_across_worker_counts(a, fault_seed):
-    plan = FaultPlan.random(a.n, faults=2, seed=fault_seed)
-    rng = np.random.default_rng(fault_seed + 1)
-    mat = rng.integers(1, 2**31, size=(23, a.n))
-    results = []
-    for workers in (1, 4):
-        net = BRSMN(
-            NetworkConfig(a.n, engine="fast", fault_plan=plan, workers=workers)
-        )
-        results.append(net.route_batch(a, mat))
-        net.close()
-    one, four = results
-    assert np.array_equal(one.payloads, four.payloads)
-    assert np.array_equal(one.delivery_src, four.delivery_src)
-    assert one.payloads.dtype == four.payloads.dtype
-
-
 def test_eight_routers_sharing_one_cache_match_reference():
     n = 32
     frames = [
@@ -89,7 +69,7 @@ def test_eight_routers_sharing_one_cache_match_reference():
             [(m.source, m.payload) if m is not None else None for m in outputs]
         )
 
-    cache = ConcurrentPlanCache(maxsize=64)
+    cache = PlanCache(maxsize=64)
     errors = []
     start = threading.Barrier(8)
 
@@ -108,10 +88,18 @@ def test_eight_routers_sharing_one_cache_match_reference():
                 return
 
     threads = [threading.Thread(target=router, args=(t,)) for t in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
+    # A short switch interval forces thread switches inside the cache's
+    # critical sections, where a lost counter update would show.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert errors == []
     # Single-flight: 8 threads x 24 frames but at most one compile per
     # distinct assignment; every other lookup hit or coalesced.
@@ -122,18 +110,15 @@ def test_eight_routers_sharing_one_cache_match_reference():
 def test_concurrent_batch_routers_share_a_cache():
     n = 16
     a = make_random_assignment(n, random.Random(99))
-    cache = ConcurrentPlanCache(maxsize=8)
+    cache = PlanCache(maxsize=8)
     rng = np.random.default_rng(0)
     mat = rng.integers(0, 2**31, size=(50, n))
     baseline = BRSMN(NetworkConfig(n, engine="fast")).route_batch(a, mat)
     outcomes = []
 
     def worker():
-        net = BRSMN(
-            NetworkConfig(n, engine="fast", workers=2), plan_cache=cache
-        )
+        net = BRSMN(NetworkConfig(n, engine="fast"), plan_cache=cache)
         outcomes.append(net.route_batch(a, mat))
-        net.close()
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
     for t in threads:

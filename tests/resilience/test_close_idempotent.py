@@ -53,7 +53,9 @@ class TestFabricDoubleClose:
         assert after > before
 
     def test_double_close_without_snapshot(self):
-        fabric = MulticastFabric(NetworkConfig(16, engine="fast", workers=2))
+        fabric = MulticastFabric(
+            NetworkConfig(16, engine="fast", compile_ahead=1)
+        )
         for a in frames():
             fabric.submit(a)
         fabric.close()
@@ -81,15 +83,9 @@ class TestBRSMNDoubleClose:
         net.close()
         net.close()
 
-    def test_parallel(self):
-        net = BRSMN(NetworkConfig(16, engine="fast", workers=2))
-        net.route(frames(count=1)[0])
-        net.close()
-        net.close()
-
     def test_compile_ahead(self):
         net = BRSMN(
-            NetworkConfig(16, engine="fast", workers=2, compile_ahead=2)
+            NetworkConfig(16, engine="fast", compile_ahead=2)
         )
         for a in frames(count=4):
             net.prefetch(a)

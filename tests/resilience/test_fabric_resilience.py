@@ -157,7 +157,7 @@ class TestCloseSafety:
         from repro.core.routing import build_network
 
         net = build_network(
-            NetworkConfig(16, engine="fast", workers=2, compile_ahead=1)
+            NetworkConfig(16, engine="fast", compile_ahead=1)
         )
         assert net.pipeline is not None and net.pool is not None
 
@@ -187,6 +187,8 @@ class TestCloseSafety:
         assert closed == ["standby"]
 
     def test_close_is_idempotent(self):
-        fab = MulticastFabric(NetworkConfig(16, engine="fast", workers=2))
+        fab = MulticastFabric(
+            NetworkConfig(16, engine="fast", compile_ahead=1)
+        )
         fab.close()
         fab.close()

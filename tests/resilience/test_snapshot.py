@@ -14,6 +14,7 @@ from repro import (
 )
 from repro.faults import FaultPlan
 from repro.faults.health import PlaneState
+from repro.obs import MetricsObserver
 
 
 def _frames(n, count, seed=0):
@@ -205,3 +206,181 @@ class TestSnapshotPathAutoPersistence:
     def test_non_string_path_rejected_by_name(self):
         with pytest.raises(ValueError, match="snapshot_path"):
             NetworkConfig(16, snapshot_path=7)
+
+
+class TestAcrossCompileAhead:
+    """A snapshot holds assignments, not compiled plans, so nothing
+    about how a fabric compiles may leak into the document: one taken
+    with compile-ahead restores into a fabric without it, and back."""
+
+    @pytest.mark.parametrize("src_ahead,dst_ahead", [(2, 0), (0, 2)])
+    def test_plan_cache_round_trip(self, src_ahead, dst_ahead):
+        frames = _frames(16, 4, seed=8) * 3
+        src = MulticastFabric(
+            NetworkConfig(16, engine="fast", compile_ahead=src_ahead)
+        )
+        src.run(frames)
+        snap = src.snapshot()
+        src.close()
+
+        dst = MulticastFabric(
+            NetworkConfig(16, engine="fast", compile_ahead=dst_ahead)
+        )
+        assert dst.restore(snap) == len(snap.assignments) == 4
+        for a in frames:
+            dst.submit(a)
+        assert dst.stats.plan_cache_misses == 0
+        assert dst.stats.plan_cache_hits == len(frames)
+        dst.close()
+
+    def test_document_is_deterministic(self):
+        """Two fabrics fed the same frames write identical documents."""
+        docs = []
+        for ahead in (0, 2):
+            fab = MulticastFabric(
+                NetworkConfig(16, engine="fast", compile_ahead=ahead)
+            )
+            for a in _frames(16, 4, seed=9):
+                fab.submit(a)
+            docs.append(FabricSnapshot.capture(fab).to_json())
+            fab.close()
+        assert docs[0] == docs[1]
+
+
+def _rejections(metrics):
+    counter = metrics.registry.get("repro_resilience_snapshot_total")
+    return counter.value(action="snapshot_rejected")
+
+
+class TestBadSnapshotStartsCold:
+    """A snapshot that cannot be used never bricks startup: the fabric
+    starts cold and counts one ``snapshot_rejected`` event."""
+
+    def _start(self, path, n=16):
+        metrics = MetricsObserver()
+        fab = MulticastFabric(
+            NetworkConfig(
+                n, engine="fast", snapshot_path=str(path), observer=metrics
+            )
+        )
+        return fab, metrics
+
+    def _assert_cold(self, fab, metrics):
+        assert len(fab.network.plan_cache) == 0
+        assert _rejections(metrics) == 1
+        fab.run(_frames(fab.n, 2, seed=10))
+        assert fab.stats.plan_cache_misses == 2
+
+    def test_torn_file(self, tmp_path):
+        path = tmp_path / "fabric.json"
+        path.write_text('{"kind": "fabric_snapshot", "vers')
+        fab, metrics = self._start(path)
+        self._assert_cold(fab, metrics)
+
+    def test_wrong_version(self, tmp_path):
+        path = tmp_path / "fabric.json"
+        path.write_text(
+            '{"kind": "fabric_snapshot", "version": 99, "n": 16, '
+            '"assignments": []}'
+        )
+        fab, metrics = self._start(path)
+        self._assert_cold(fab, metrics)
+
+    def test_wrong_n(self, tmp_path):
+        path = tmp_path / "fabric.json"
+        big = MulticastFabric(
+            NetworkConfig(32, engine="fast", snapshot_path=str(path))
+        )
+        big.run(_frames(32, 3, seed=11))
+        big.close()
+        assert FabricSnapshot.load(str(path)).n == 32
+        fab, metrics = self._start(path, n=16)
+        self._assert_cold(fab, metrics)
+
+    def test_wrong_structure(self, tmp_path):
+        path = tmp_path / "fabric.json"
+        path.write_text(
+            '{"kind": "fabric_snapshot", "version": 1, "n": 16, '
+            '"assignments": [1]}'
+        )
+        fab, metrics = self._start(path)
+        self._assert_cold(fab, metrics)
+
+    def test_bad_breaker_state_rolls_back_health(self, tmp_path):
+        path = tmp_path / "fabric.json"
+        quarantined = {
+            "state": "quarantined",
+            "consecutive_failures": 0,
+            "drained": 1,
+            "clean_probes": 0,
+            "quarantines": 1,
+            "readmissions": 0,
+        }
+        FabricSnapshot(
+            n=16,
+            assignments=[{"0": [1, 2]}],
+            health=quarantined,
+            breaker={"state": "open"},
+        ).save(str(path))
+        metrics = MetricsObserver()
+        fab = MulticastFabric(
+            NetworkConfig(
+                16,
+                engine="fast",
+                fault_plan=FaultPlan.random(16, faults=2, seed=1),
+                breaker=BreakerPolicy(),
+                snapshot_path=str(path),
+                observer=metrics,
+            ),
+            strict=False,
+        )
+        assert fab.health.state is PlaneState.HEALTHY
+        assert fab.health.quarantines == 0
+        assert fab.breaker.state is BreakerState.CLOSED
+        assert len(fab.network.plan_cache) == 0
+        assert _rejections(metrics) == 1
+        fab.close()
+
+    def test_good_file_counts_no_rejection(self, tmp_path):
+        path = tmp_path / "fabric.json"
+        src = MulticastFabric(
+            NetworkConfig(16, engine="fast", snapshot_path=str(path))
+        )
+        src.run(_frames(16, 3, seed=12))
+        src.close()
+        saved = len(FabricSnapshot.load(str(path)).assignments)
+        fab, metrics = self._start(path)
+        assert saved > 0 and len(fab.network.plan_cache) == saved
+        assert _rejections(metrics) == 0
+        counter = metrics.registry.get("repro_resilience_snapshot_total")
+        assert counter.value(action="snapshot_restored") == 1
+
+
+class TestAtomicSave:
+    def test_interrupted_save_keeps_the_previous_file(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "fabric.json"
+        FabricSnapshot(n=16, assignments=[{"0": [1, 2]}]).save(str(path))
+        before = path.read_bytes()
+
+        import repro.resilience.snapshot as snapshot_mod
+
+        def torn_fsync(fd):
+            raise OSError("disk pulled mid-write")
+
+        monkeypatch.setattr(snapshot_mod.os, "fsync", torn_fsync)
+        with pytest.raises(OSError, match="mid-write"):
+            FabricSnapshot(n=16, assignments=[{"3": [4]}] * 50).save(
+                str(path)
+            )
+        assert path.read_bytes() == before
+        # The temporary file was cleaned up; only the snapshot remains.
+        assert [p.name for p in tmp_path.iterdir()] == ["fabric.json"]
+
+    def test_save_replaces_atomically(self, tmp_path):
+        path = tmp_path / "fabric.json"
+        FabricSnapshot(n=16).save(str(path))
+        FabricSnapshot(n=16, assignments=[{"0": [1]}]).save(str(path))
+        assert FabricSnapshot.load(str(path)).assignments == [{"0": [1]}]
+        assert [p.name for p in tmp_path.iterdir()] == ["fabric.json"]

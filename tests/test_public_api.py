@@ -98,6 +98,7 @@ class TestTopLevel:
         "repro.resilience",
         "repro.control",
         "repro.cluster",
+        "repro.parallel",
         "repro.rbn",
         "repro.hardware",
         "repro.baselines",
@@ -120,13 +121,48 @@ class TestSubpackages:
         assert mod.__doc__ and len(mod.__doc__.strip()) > 20
 
 
+class TestRemovedParallelSurface:
+    """The batch-sharding executors are gone; only compile-ahead and
+    the one plan cache remain."""
+
+    def test_parallel_exports_only_compile_ahead(self):
+        parallel = importlib.import_module("repro.parallel")
+        assert parallel.__all__ == ["CompileAheadPipeline", "WorkerPool"]
+        for name in (
+            "ConcurrentPlanCache", "ShardedBatchRouter", "shard_bounds",
+            "ProcessShardRouter", "ProcessWorkerPool", "PlanEnvelope",
+        ):
+            assert not hasattr(parallel, name), name
+
+    def test_no_process_event_or_worker_loop(self):
+        events = importlib.import_module("repro.obs.events")
+        control = importlib.import_module("repro.control")
+        assert not hasattr(events, "ProcessEvent")
+        assert not hasattr(events.Observer, "on_process")
+        assert not hasattr(control, "WorkerState")
+        assert not hasattr(control, "worker_step")
+
+    def test_plan_cache_is_the_one_cache(self):
+        from repro.core import PlanCache
+
+        for ahead in (0, 2):
+            net = repro.BRSMN(
+                repro.NetworkConfig(16, engine="fast", compile_ahead=ahead)
+            )
+            assert type(net.plan_cache) is PlanCache
+            if ahead:
+                assert net.pipeline.cache is net.plan_cache
+            net.close()
+
+
 class TestDocstringCoverage:
     def test_every_public_callable_documented(self):
         """Deliverable (e): doc comments on every public item."""
         undocumented = []
         for module_name in (
             "repro.core", "repro.obs", "repro.faults", "repro.resilience",
-            "repro.control", "repro.cluster", "repro.rbn", "repro.hardware", "repro.baselines",
+            "repro.control", "repro.cluster", "repro.parallel", "repro.rbn",
+            "repro.hardware", "repro.baselines",
             "repro.workloads", "repro.analysis", "repro.viz",
         ):
             mod = importlib.import_module(module_name)
