@@ -48,7 +48,7 @@ from typing import Dict, Iterable, List, Optional
 
 from ..core.serialization import assignment_fingerprint
 from ..errors import ReproError
-from ..obs.events import ClusterEvent
+from ..obs.events import ClusterEvent, emit
 from .config import ClusterConfig
 from .replica import FabricReplica, ReplicaState, is_shed
 from .router import ClusterRouter
@@ -167,8 +167,9 @@ class FabricCluster:
     def _emit(self, action: str, **kw) -> None:
         obs = self.observer
         if obs is not None and obs.enabled:
-            obs.on_cluster(
-                ClusterEvent(action=action, t_ns=perf_counter_ns(), **kw)
+            emit(
+                obs,
+                ClusterEvent(action=action, t_ns=perf_counter_ns(), **kw),
             )
 
     def _emit_state(self, replica: FabricReplica) -> None:

@@ -36,7 +36,7 @@ import os
 from time import perf_counter_ns
 from typing import Callable, Dict, List, Optional
 
-from ..obs.events import ControlEvent
+from ..obs.events import ControlEvent, emit
 from .controllers import (
     AdmissionState,
     BackoffState,
@@ -191,7 +191,7 @@ class ControlPlane:
         )
         window = self.signals.window()
         self.tick_count += 1
-        self._emit(ControlEvent(action="tick", tick=self.tick_count))
+        self._emit("tick")
 
         if self._admission is not None:
             self._admission, actions = admission_step(
@@ -231,33 +231,24 @@ class ControlPlane:
                 }
             )
             self._emit(
-                ControlEvent(
-                    action="adjust",
-                    controller=a.controller,
-                    parameter=a.parameter,
-                    old=float(a.old),
-                    new=float(a.new),
-                    reason=a.reason,
-                    tick=self.tick_count,
-                )
+                "adjust",
+                controller=a.controller,
+                parameter=a.parameter,
+                old=float(a.old),
+                new=float(a.new),
+                reason=a.reason,
             )
 
-    def _emit(self, event: ControlEvent) -> None:
+    def _emit(self, action: str, **fields) -> None:
         obs = self.observer
-        if obs is None or not obs.enabled:
-            return
-        if event.t_ns == 0:
+        if obs is not None and obs.enabled:
             event = ControlEvent(
-                action=event.action,
-                controller=event.controller,
-                parameter=event.parameter,
-                old=event.old,
-                new=event.new,
-                reason=event.reason,
-                tick=event.tick,
+                action=action,
+                tick=self.tick_count,
                 t_ns=perf_counter_ns(),
+                **fields,
             )
-        obs.on_control(event)
+            emit(obs, event)
 
     # -- the decision log ------------------------------------------------
     def decision_log(self) -> List[Dict[str, object]]:

@@ -143,10 +143,10 @@ class SignalAggregator(Observer):
     The aggregator is attached by the control plane as one leg of a
     :class:`~repro.obs.events.CompositeObserver` in front of whatever
     observer the caller configured, so it sees every event the metrics
-    and tracing observers see.  Handlers take a lock because cache and
-    parallel events can arrive from pool threads; the *decision*
-    signals are only ever written by the submitting thread, which is
-    what keeps the windows replayable.
+    and tracing observers see.  :meth:`on_event` takes a lock because
+    cache and parallel events can arrive from pool threads; the
+    *decision* signals are only ever written by the submitting thread,
+    which is what keeps the windows replayable.
     """
 
     def __init__(self, window_ticks: int = 4):
@@ -158,45 +158,13 @@ class SignalAggregator(Observer):
         self._current = _Bucket()
         self._buckets: deque = deque(maxlen=window_ticks)
 
-    # -- event handlers (fold into the current bucket) -------------------
-    def on_frame_done(self, event: FrameDone) -> None:
-        """Count routed frames; accumulate advisory wall-clock time."""
-        with self._lock:
-            self._current.frames += event.frames
-            self._current.serve_ns += event.duration_ns
-
-    def on_resilience(self, event: ResilienceEvent) -> None:
-        """Count admission decisions and deadline expiries."""
-        with self._lock:
-            cur = self._current
-            if event.action == "admitted":
-                if event.priority > 0:
-                    cur.admitted_high += 1
-                else:
-                    cur.admitted_low += 1
-            elif event.action == "shed":
-                if event.priority > 0:
-                    cur.shed_high += 1
-                else:
-                    cur.shed_low += 1
-            elif event.action == "deadline_expired":
-                cur.deadline_expired += event.frames
-
-    def on_fault(self, event: FaultEvent) -> None:
-        """Count healing retries and abandoned terminals."""
-        with self._lock:
-            if event.action == "retry":
-                self._current.retries += 1
-            elif event.action == "lost":
-                self._current.lost_terminals += len(event.terminals)
-
-    def on_cache_event(self, event: CacheEvent) -> None:
-        """Advisory plan-cache accounting (never a decision input)."""
-        with self._lock:
-            if event.kind == "hit":
-                self._current.cache_hits += 1
-            elif event.kind == "miss":
-                self._current.cache_misses += 1
+    def on_event(self, event) -> None:
+        """Fold a frame, admission, healing or cache event into the
+        current bucket; ignore the other kinds."""
+        fold = _FOLDS.get(type(event))
+        if fold is not None:
+            with self._lock:
+                fold(self._current, event)
 
     # -- tick boundary ---------------------------------------------------
     def close_tick(
@@ -253,3 +221,42 @@ class SignalAggregator(Observer):
             cache_misses=sum(b.cache_misses for b in buckets),
             serve_ns=sum(b.serve_ns for b in buckets),
         )
+
+
+def _fold_frame(cur: _Bucket, event: FrameDone) -> None:
+    """Count routed frames; accumulate advisory wall-clock time."""
+    cur.frames += event.frames
+    cur.serve_ns += event.duration_ns
+
+
+def _fold_resilience(cur: _Bucket, event: ResilienceEvent) -> None:
+    """Count admission decisions and deadline expiries."""
+    if event.action in ("admitted", "shed"):
+        name = f"{event.action}_{'high' if event.priority > 0 else 'low'}"
+        setattr(cur, name, getattr(cur, name) + 1)
+    elif event.action == "deadline_expired":
+        cur.deadline_expired += event.frames
+
+
+def _fold_fault(cur: _Bucket, event: FaultEvent) -> None:
+    """Count healing retries and abandoned terminals."""
+    if event.action == "retry":
+        cur.retries += 1
+    elif event.action == "lost":
+        cur.lost_terminals += len(event.terminals)
+
+
+def _fold_cache(cur: _Bucket, event: CacheEvent) -> None:
+    """Advisory plan-cache accounting (never a decision input)."""
+    if event.kind == "hit":
+        cur.cache_hits += 1
+    elif event.kind == "miss":
+        cur.cache_misses += 1
+
+
+_FOLDS = {
+    FrameDone: _fold_frame,
+    ResilienceEvent: _fold_resilience,
+    FaultEvent: _fold_fault,
+    CacheEvent: _fold_cache,
+}

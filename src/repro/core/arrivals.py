@@ -37,7 +37,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..errors import InvalidAssignmentError
-from ..obs.events import QueueDepth
+from ..obs.events import QueueDepth, emit
 from ..rbn.permutations import check_network_size
 from .admission import Request, conflicts
 from .config import _resolve_config
@@ -324,7 +324,7 @@ class QueueingSimulator:
         """
         report = QueueingReport(n=self.n)
         obs = self.observer
-        emit = obs is not None and obs.enabled
+        observed = obs is not None and obs.enabled
         prefetch = getattr(self.network, "compile_ahead", 0) > 0
         pending = sorted(arrivals, key=lambda a: a.slot)
         backlog: List[Arrival] = []
@@ -386,9 +386,10 @@ class QueueingSimulator:
                 report.serve_ms.append(
                     (perf_counter_ns() - serve_start) / 1e6
                 )
-            if emit:
-                obs.on_queue_depth(
-                    QueueDepth(slot=slot, depth=len(backlog), served=served_now)
+            if observed:
+                emit(
+                    obs,
+                    QueueDepth(slot=slot, depth=len(backlog), served=served_now),
                 )
             if prefetch:
                 self._prefetch_next_slot(backlog, pending, idx, slot + 1)

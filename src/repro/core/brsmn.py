@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import InvalidAssignmentError, RoutingInvariantError
-from ..obs.events import FaultEvent, FrameDone, FrameStart, LevelSpan
+from ..obs.events import FaultEvent, FrameDone, FrameStart, LevelSpan, emit
 from ..rbn.cells import Cell
 from ..rbn.permutations import check_network_size
 from ..rbn.switches import SwitchSetting
@@ -460,8 +460,8 @@ class BRSMN:
         if mode not in ("oracle", "selfrouting"):
             raise ValueError(f"unknown routing mode {mode!r}")
         obs = self.observer
-        emit = obs is not None and obs.enabled
-        if emit:
+        observed = obs is not None and obs.enabled
+        if observed:
             t0, fid = self._emit_frame_start(obs, assignment, mode, 1)
         if self.engine == "fast":
             if collect_trace:
@@ -473,8 +473,8 @@ class BRSMN:
                 assignment,
                 mode,
                 payloads,
-                observer=obs if emit else None,
-                frame_id=fid if emit else -1,
+                observer=obs if observed else None,
+                frame_id=fid if observed else -1,
             )
         else:
             frame = inject_messages(assignment, mode, payloads)
@@ -486,15 +486,15 @@ class BRSMN:
             result = RoutingResult(
                 assignment=assignment, outputs=[], mode=mode, trace=trace
             )
-            prof: Optional[Dict[int, List[int]]] = {} if emit else None
+            prof: Optional[Dict[int, List[int]]] = {} if observed else None
             result.outputs = self._route(
                 frame, 0, self.n, mode, result, trace, prof
             )
             if self._injector is not None:
                 result.outputs = self._injector.scrub(result.outputs)
-            if emit:
+            if observed:
                 self._emit_level_spans(obs, fid, prof)
-        if emit:
+        if observed:
             if result.fault_casualties:
                 self._emit_fault_events(obs, fid, result.fault_casualties)
             self._emit_frame_done(obs, fid, t0, result, 1)
@@ -506,7 +506,8 @@ class BRSMN:
         t0 = perf_counter_ns()
         fid = self._frames_emitted
         self._frames_emitted += 1
-        obs.on_frame_start(
+        emit(
+            obs,
             FrameStart(
                 frame_id=fid,
                 n=self.n,
@@ -516,7 +517,7 @@ class BRSMN:
                 active_inputs=len(assignment.active_inputs),
                 fanout=assignment.total_fanout,
                 t_ns=t0,
-            )
+            ),
         )
         return t0, fid
 
@@ -525,7 +526,8 @@ class BRSMN:
         for size in sorted(prof, reverse=True):
             ns, splits, ops, blocks = prof[size]
             stage = "deliver" if size == 2 else "bsn"
-            obs.on_level(
+            emit(
+                obs,
                 LevelSpan(
                     frame_id=fid,
                     level=self.m - (size.bit_length() - 1) + 1,
@@ -536,7 +538,7 @@ class BRSMN:
                     stage_ns={stage: ns},
                     duration_ns=ns,
                     engine="reference",
-                )
+                ),
             )
 
     def _emit_fault_events(self, obs, fid, hits):
@@ -544,7 +546,8 @@ class BRSMN:
         t = perf_counter_ns()
         attempt = self._injector.attempt if self._injector is not None else 0
         for hit in hits:
-            obs.on_fault(
+            emit(
+                obs,
                 FaultEvent(
                     action="injected",
                     kind=hit.fault.kind.value,
@@ -554,7 +557,7 @@ class BRSMN:
                     attempt=attempt,
                     terminals=tuple(hit.outputs),
                     t_ns=t,
-                )
+                ),
             )
 
     def _emit_frame_done(self, obs, fid, t0, result, frames):
@@ -564,7 +567,8 @@ class BRSMN:
             deliveries = int((result.delivery_src >= 0).sum())
         else:
             deliveries = sum(1 for o in result.outputs if o is not None)
-        obs.on_frame_done(
+        emit(
+            obs,
             FrameDone(
                 frame_id=fid,
                 deliveries=deliveries,
@@ -574,7 +578,7 @@ class BRSMN:
                 duration_ns=t1 - t0,
                 cache_hit=result.plan_cache_hit,
                 t_ns=t1,
-            )
+            ),
         )
 
     def _plan(self, assignment: MulticastAssignment, observer=None, frame_id=-1):
@@ -711,15 +715,15 @@ class BRSMN:
             )
         if self.engine == "fast":
             obs = self.observer
-            emit = obs is not None and obs.enabled
-            if emit:
+            observed = obs is not None and obs.enabled
+            if observed:
                 t0, fid = self._emit_frame_start(
                     obs, assignment, mode, mat.shape[0]
                 )
             plan, hit = self._plan(
                 assignment,
-                obs if emit else None,
-                fid if emit else -1,
+                obs if observed else None,
+                fid if observed else -1,
             )
             attempt = self._injector.attempt if self._injector is not None else 0
             delivery_src = plan.delivery_src.copy()
@@ -740,7 +744,7 @@ class BRSMN:
                 plan_cache_hit=hit,
                 fault_casualties=self._plan_hits(plan, attempt),
             )
-            if emit:
+            if observed:
                 if result.fault_casualties:
                     self._emit_fault_events(obs, fid, result.fault_casualties)
                 self._emit_frame_done(obs, fid, t0, result, mat.shape[0])

@@ -32,7 +32,7 @@ from time import perf_counter_ns
 from typing import Iterable, List
 
 from ..errors import RoutingInvariantError
-from ..obs.events import CompositeObserver, FaultEvent
+from ..obs.events import CompositeObserver, FaultEvent, emit
 from .brsmn import RoutingResult
 from .config import _resolve_config
 from .multicast import MulticastAssignment
@@ -378,10 +378,11 @@ class MulticastFabric:
                 if after is not before:
                     obs = self.observer
                     if obs is not None and obs.enabled:
-                        obs.on_fault(
+                        emit(
+                            obs,
                             FaultEvent(
                                 action="quarantined", t_ns=perf_counter_ns()
-                            )
+                            ),
                         )
         return result
 
@@ -399,8 +400,9 @@ class MulticastFabric:
                 "probation": "probation",
                 "healthy": "readmitted",
             }[after.value]
-            obs.on_fault(
-                FaultEvent(action=action, t_ns=perf_counter_ns())
+            emit(
+                obs,
+                FaultEvent(action=action, t_ns=perf_counter_ns()),
             )
 
     def prefetch(self, assignment: MulticastAssignment) -> bool:

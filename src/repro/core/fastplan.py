@@ -47,7 +47,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import InvalidAssignmentError, RoutingInvariantError
-from ..obs.events import CacheEvent, LevelSpan
+from ..obs.events import CacheEvent, LevelSpan, emit
 from ..rbn.fast import fast_divide_epsilons_batch, fast_sort_permutation_batch
 from ..rbn.fast_scatter import (
     CODE_ALPHA,
@@ -320,7 +320,7 @@ def compile_frame_plan(
     """
     n = assignment.n
     m = check_network_size(n)
-    emit = observer is not None and observer.enabled
+    observed = observer is not None and observer.enabled
     inject = fault_plan is not None and not fault_plan.is_empty
     fault_state = (
         {"lost": np.zeros(n, dtype=bool), "exposure": [], "hits": []}
@@ -342,7 +342,7 @@ def compile_frame_plan(
     while size > 2:
         half = size // 2
         blocks = n // size
-        if emit:
+        if observed:
             stage_ns: Dict[str, int] = {}
             t_level = t_stage = perf_counter_ns()
 
@@ -382,14 +382,16 @@ def compile_frame_plan(
                 )
             )
 
-        if emit:
+        if observed:
             now = perf_counter_ns()
             stage_ns["tag"] = now - t_stage
             t_stage = now
 
         # ---- route the level and advance the tracking arrays.
-        src, role = compile_level_gather(codes2d, stage_ns if emit else None)
-        if emit:
+        src, role = compile_level_gather(
+            codes2d, stage_ns if observed else None
+        )
+        if observed:
             t_stage = perf_counter_ns()
         positions = outputs_idx
         inv_zero = np.full(n, -1, dtype=np.int64)
@@ -416,10 +418,11 @@ def compile_frame_plan(
                 origin,
                 fault_state,
             )
-        if emit:
+        if observed:
             now = perf_counter_ns()
             stage_ns["gather"] = now - t_stage
-            observer.on_level(
+            emit(
+                observer,
                 LevelSpan(
                     frame_id=frame_id,
                     level=m - (size.bit_length() - 1) + 1,
@@ -430,7 +433,7 @@ def compile_frame_plan(
                     stage_ns=stage_ns,
                     duration_ns=now - t_level,
                     engine="fast",
-                )
+                ),
             )
         size = half
 
@@ -627,10 +630,11 @@ class PlanCache:
         if obs is None or not obs.enabled or not events:
             return
         for kind, key, size in events:
-            obs.on_cache_event(
+            emit(
+                obs,
                 CacheEvent(
                     kind=kind, key=key, size=size, t_ns=perf_counter_ns()
-                )
+                ),
             )
 
     def __len__(self) -> int:

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.multicast import MulticastAssignment
 from ..core.verification import VerificationReport, verify_delivery
-from ..obs.events import FaultEvent, ResilienceEvent
+from ..obs.events import FaultEvent, ResilienceEvent, emit
 
 __all__ = [
     "RetryPolicy",
@@ -218,18 +218,6 @@ class DegradedResult:
         return self.attempts > 1 or bool(self.lost)
 
 
-def _emit(observer, event: FaultEvent) -> None:
-    if observer is not None and observer.enabled:
-        observer.on_fault(event)
-
-
-def _emit_resilience(observer, action: str) -> None:
-    if observer is not None and observer.enabled:
-        observer.on_resilience(
-            ResilienceEvent(action=action, t_ns=perf_counter_ns())
-        )
-
-
 def _correct(msg, expected_source: int) -> bool:
     return msg is not None and msg.source == expected_source
 
@@ -272,6 +260,7 @@ def route_with_healing(
     """
     policy = policy if policy is not None else RetryPolicy()
     observer = getattr(network, "observer", None)
+    observed = observer is not None and observer.enabled
     injector = getattr(network, "_injector", None)
     inverse = assignment.inverse_map()
     terminals = sorted(inverse)
@@ -303,36 +292,44 @@ def route_with_healing(
         while failed and retry < policy.max_retries:
             if budget is not None and budget.expired:
                 outcome.deadline_expired = True
-                _emit_resilience(observer, "deadline_expired")
+                if observed:
+                    emit(
+                        observer,
+                        ResilienceEvent(
+                            action="deadline_expired", t_ns=perf_counter_ns()
+                        ),
+                    )
                 break
             if breaker is not None and breaker.is_open:
                 outcome.short_circuited = True
                 break
             retry += 1
             outcome.attempts += 1
-            _emit(
-                observer,
-                FaultEvent(
-                    action="detected",
-                    attempt=retry - 1,
-                    terminals=tuple(failed),
-                    t_ns=perf_counter_ns(),
-                ),
-            )
+            if observed:
+                emit(
+                    observer,
+                    FaultEvent(
+                        action="detected",
+                        attempt=retry - 1,
+                        terminals=tuple(failed),
+                        t_ns=perf_counter_ns(),
+                    ),
+                )
             delay = policy.delay(retry)
             if budget is not None:
                 delay = budget.clamp(delay)
             if delay > 0:
                 time.sleep(delay)
-            _emit(
-                observer,
-                FaultEvent(
-                    action="retry",
-                    attempt=retry,
-                    terminals=tuple(failed),
-                    t_ns=perf_counter_ns(),
-                ),
-            )
+            if observed:
+                emit(
+                    observer,
+                    FaultEvent(
+                        action="retry",
+                        attempt=retry,
+                        terminals=tuple(failed),
+                        t_ns=perf_counter_ns(),
+                    ),
+                )
             repair_map: Dict[int, List[int]] = {}
             for o in failed:
                 repair_map.setdefault(inverse[o], []).append(o)
@@ -356,8 +353,8 @@ def route_with_healing(
                     healed.append(o)
                 else:
                     still_failed.append(o)
-            if healed:
-                _emit(
+            if healed and observed:
+                emit(
                     observer,
                     FaultEvent(
                         action="recovered",
@@ -375,8 +372,8 @@ def route_with_healing(
                 status="lost",
                 attempts=outcome.attempts,
             )
-        if failed:
-            _emit(
+        if failed and observed:
+            emit(
                 observer,
                 FaultEvent(
                     action="lost",

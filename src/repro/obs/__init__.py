@@ -6,11 +6,17 @@ pass any :class:`Observer` to
 :class:`~repro.core.fabric.MulticastFabric` /
 :class:`~repro.core.brsmn.BRSMN` /
 :class:`~repro.core.arrivals.QueueingSimulator`) and the stack emits
-frame lifecycle events, per-recursion-level profiling spans and
-plan-cache events.  With no observer — or a :class:`NullSink` — the
-hot path pays one attribute test per frame.
+frame lifecycle events, per-recursion-level profiling spans,
+plan-cache events and the fault, resilience, control and cluster
+events of the layers above.  With no observer — or a :class:`NullSink`
+— the hot path pays one attribute test per frame.
 
-Three subscribers ship with the library:
+The protocol is one method: every event reaches
+``Observer.on_event(event)`` through :func:`emit`, which counts an
+exception the observer raises in ``observer.errors`` instead of
+letting it break routing.  A custom observer overrides ``on_event``
+and dispatches on ``type(event)`` (the event classes live in
+:mod:`repro.obs.events`).  Three subscribers ship with the library:
 
 * :class:`MetricsObserver` — folds events into a
   :class:`MetricsRegistry` (counters, gauges, log-bucketed
@@ -44,6 +50,7 @@ from .events import (
     ParallelEvent,
     QueueDepth,
     ResilienceEvent,
+    emit,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, log2_buckets
 from .metrics_observer import MetricsObserver
@@ -64,6 +71,7 @@ __all__ = [
     "ParallelEvent",
     "QueueDepth",
     "ResilienceEvent",
+    "emit",
     "Counter",
     "Gauge",
     "Histogram",

@@ -1,52 +1,50 @@
 """Lifecycle events and the observer protocol of the routing stack.
 
-The routing stack (``MulticastFabric.submit``, ``BRSMN.route`` /
-``route_batch``, the :mod:`~repro.core.fastplan` compiler and its
-:class:`~repro.core.fastplan.PlanCache`) emits four kinds of events to
-an attached :class:`Observer`:
+An observer has one hook, :meth:`Observer.on_event`, and every event
+is a frozen dataclass of this module.  Emission sites hand each event
+to :func:`emit`, which calls ``observer.on_event(event)`` and keeps a
+raising observer off the data path (the exception is counted in
+``observer.errors``).  Subscribers dispatch on ``type(event)`` and
+ignore the classes they do not fold, so adding an event means adding
+one class here.
 
-* :class:`FrameStart` — a frame (or payload batch) enters the network;
-* :class:`LevelSpan` — one BRSMN recursion level finished, with
-  per-stage wall-clock spans (``perf_counter_ns``) and the level's
-  split / switch-operation counts;
-* :class:`FrameDone` — the frame left the network, with end-to-end
-  latency;
-* :class:`CacheEvent` — the plan cache answered a lookup (hit / miss)
-  or evicted a compiled plan;
+The events, by emitter:
 
-plus :class:`QueueDepth` samples from the
-:class:`~repro.core.arrivals.QueueingSimulator` slot loop,
-:class:`FaultEvent` notifications from the fault-injection / healing
-layer (:mod:`repro.faults`): injections that touched traffic, detected
-casualties, retries, recoveries, losses and plane quarantine
-transitions, and :class:`ParallelEvent` samples from the compile-ahead
-pipeline (:mod:`repro.parallel`): compile task lifecycle, pool
-utilisation and compile-queue depth.  The single-flight plan cache
-additionally reuses :class:`CacheEvent` with ``kind="coalesced"`` for
-lookups that piggybacked on another thread's in-flight compilation.
-The overload-resilience layer (:mod:`repro.resilience`) emits
-:class:`ResilienceEvent` samples: admission decisions, deadline
-expiries, circuit-breaker transitions and warm-restart snapshots.
-The adaptive control plane (:mod:`repro.control`) emits :class:`ControlEvent`
-samples: one per control tick plus one per actuator adjustment.  The
-multi-replica serving tier (:mod:`repro.cluster`) emits
-:class:`ClusterEvent` samples: per-replica frame placement, requeues
-after a replica death, admission spill-overs, replica state
-transitions and rolling-restart lifecycle (drain / snapshot /
-warm-restore / re-admit).
+* :class:`FrameStart`, :class:`LevelSpan`, :class:`FrameDone` — a
+  frame's lifecycle through ``BRSMN.route`` / ``route_batch``: entry,
+  one per-stage profiling span (``perf_counter_ns``) per recursion
+  level, exit with end-to-end latency;
+* :class:`CacheEvent` — the :class:`~repro.core.fastplan.PlanCache`
+  answered a lookup (hit / miss / coalesced), evicted or cleared;
+* :class:`QueueDepth` — end-of-slot samples from the
+  :class:`~repro.core.arrivals.QueueingSimulator`;
+* :class:`FaultEvent` — fault injection and self-healing
+  (:mod:`repro.faults`): injections that touched traffic, detected
+  casualties, retries, recoveries, losses, plane transitions;
+* :class:`ParallelEvent` — the worker pool and compile-ahead pipeline
+  (:mod:`repro.parallel`);
+* :class:`ResilienceEvent` — admission decisions, deadline expiries,
+  breaker transitions and warm-restart snapshots
+  (:mod:`repro.resilience`);
+* :class:`ControlEvent` — control ticks and actuator adjustments
+  (:mod:`repro.control`);
+* :class:`ClusterEvent` — placement, requeues, spill-overs, replica
+  state and rolling restarts (:mod:`repro.cluster`).
 
 Observation is strictly pay-for-what-you-use: every emission site is
-gated on ``observer is not None and observer.enabled``, so routing with
-no observer costs one attribute test per frame, and the
-:class:`NullSink` (``enabled = False``) costs exactly the same — it
-exists so callers can wire the plumbing unconditionally and flip
-collection on without touching call sites.
+gated on ``observer is not None and observer.enabled`` before it builds
+the event, so routing with no observer costs one attribute test per
+frame, and the :class:`NullSink` (``enabled = False``) costs exactly
+the same — it exists so callers can wire the plumbing unconditionally
+and flip collection on without touching call sites.
 """
 
 from __future__ import annotations
 
+import logging
+import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 __all__ = [
     "FrameStart",
@@ -62,6 +60,7 @@ __all__ = [
     "Observer",
     "NullSink",
     "CompositeObserver",
+    "emit",
 ]
 
 
@@ -365,46 +364,65 @@ class ClusterEvent:
     t_ns: int = 0
 
 
+_log = logging.getLogger(__name__)
+_errors_lock = threading.Lock()
+
+_REMOVED_HOOKS = frozenset({
+    "on_frame_start", "on_level", "on_frame_done", "on_cache_event",
+    "on_queue_depth", "on_fault", "on_parallel", "on_resilience",
+    "on_control", "on_cluster",
+})
+
+
 class Observer:
-    """Base observer: every hook is a no-op; subclass what you need.
+    """Base observer: override :meth:`on_event` and dispatch on
+    ``type(event)``.
 
     Attributes:
         enabled: emission gate — sites skip all event construction when
             False, so a disabled observer costs one attribute test per
             frame.
+        errors: exceptions :meth:`on_event` raised; :func:`emit` counts
+            and drops them so the data path never sees them.
     """
 
     enabled: bool = True
+    errors: int = 0
 
-    def on_frame_start(self, event: FrameStart) -> None:
-        """A frame entered the network."""
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        stale = sorted(_REMOVED_HOOKS.intersection(vars(cls)))
+        if stale:
+            raise TypeError(
+                f"{cls.__qualname__} defines {', '.join(stale)}: the "
+                "per-kind hooks were replaced by on_event(event); "
+                "dispatch on type(event) there"
+            )
 
-    def on_level(self, event: LevelSpan) -> None:
-        """A recursion level completed (profiling span)."""
+    def on_event(self, event) -> None:
+        """Receive one event (any event class of this module)."""
 
-    def on_frame_done(self, event: FrameDone) -> None:
-        """A frame left the network."""
 
-    def on_cache_event(self, event: CacheEvent) -> None:
-        """The plan cache hit, missed, evicted or cleared."""
+def emit(observer: Observer, event) -> None:
+    """Deliver ``event`` to ``observer.on_event``, isolating failures.
 
-    def on_queue_depth(self, event: QueueDepth) -> None:
-        """The queueing simulator finished a slot."""
-
-    def on_fault(self, event: FaultEvent) -> None:
-        """The fault-injection / healing layer reported an event."""
-
-    def on_parallel(self, event: ParallelEvent) -> None:
-        """The worker pool / compile-ahead pipeline reported an event."""
-
-    def on_resilience(self, event: ResilienceEvent) -> None:
-        """The overload-resilience layer reported an event."""
-
-    def on_control(self, event: ControlEvent) -> None:
-        """The adaptive control plane ticked or adjusted an actuator."""
-
-    def on_cluster(self, event: ClusterEvent) -> None:
-        """The multi-replica serving tier reported an event."""
+    The caller gates on ``observer is not None and observer.enabled``
+    before it builds the event.  An ``Exception`` raised by the hook is
+    counted in ``observer.errors`` and dropped (the first one per
+    observer is logged with its traceback), so a broken observer never
+    breaks routing or leaves session statistics half-updated.
+    """
+    try:
+        observer.on_event(event)
+    except Exception:
+        with _errors_lock:  # pool threads emit too
+            observer.errors = getattr(observer, "errors", 0) + 1
+            first = observer.errors == 1
+        if first:
+            _log.warning(
+                "%r raised in on_event; further failures are only "
+                "counted in its errors attribute", observer, exc_info=True,
+            )
 
 
 class NullSink(Observer):
@@ -422,6 +440,10 @@ class NullSink(Observer):
 class CompositeObserver(Observer):
     """Fan one event stream out to several observers.
 
+    Each leg gets the event through :func:`emit`, so a leg that raises
+    is counted in its own ``errors`` and the later legs still see the
+    event.
+
     Args:
         *observers: the observers to notify, in order.  Disabled
             observers are dropped at construction; the composite itself
@@ -434,42 +456,6 @@ class CompositeObserver(Observer):
         )
         self.enabled = bool(self.observers)
 
-    def on_frame_start(self, event: FrameStart) -> None:
+    def on_event(self, event) -> None:
         for o in self.observers:
-            o.on_frame_start(event)
-
-    def on_level(self, event: LevelSpan) -> None:
-        for o in self.observers:
-            o.on_level(event)
-
-    def on_frame_done(self, event: FrameDone) -> None:
-        for o in self.observers:
-            o.on_frame_done(event)
-
-    def on_cache_event(self, event: CacheEvent) -> None:
-        for o in self.observers:
-            o.on_cache_event(event)
-
-    def on_queue_depth(self, event: QueueDepth) -> None:
-        for o in self.observers:
-            o.on_queue_depth(event)
-
-    def on_fault(self, event: FaultEvent) -> None:
-        for o in self.observers:
-            o.on_fault(event)
-
-    def on_parallel(self, event: ParallelEvent) -> None:
-        for o in self.observers:
-            o.on_parallel(event)
-
-    def on_resilience(self, event: ResilienceEvent) -> None:
-        for o in self.observers:
-            o.on_resilience(event)
-
-    def on_control(self, event: ControlEvent) -> None:
-        for o in self.observers:
-            o.on_control(event)
-
-    def on_cluster(self, event: ClusterEvent) -> None:
-        for o in self.observers:
-            o.on_cluster(event)
+            emit(o, event)

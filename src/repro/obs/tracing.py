@@ -68,26 +68,20 @@ class TracingObserver(Observer):
     def __init__(self):
         self.events: List[object] = []
         self.queue_samples: List[QueueDepth] = []
+        self._sinks = {
+            FrameStart: self.events,
+            LevelSpan: self.events,
+            FrameDone: self.events,
+            CacheEvent: self.events,
+            QueueDepth: self.queue_samples,
+        }
 
-    def on_frame_start(self, event: FrameStart) -> None:
-        """Record a frame entering the network."""
-        self.events.append(event)
-
-    def on_level(self, event: LevelSpan) -> None:
-        """Record a completed recursion level."""
-        self.events.append(event)
-
-    def on_frame_done(self, event: FrameDone) -> None:
-        """Record a frame leaving the network."""
-        self.events.append(event)
-
-    def on_cache_event(self, event: CacheEvent) -> None:
-        """Record a plan-cache hit / miss / eviction."""
-        self.events.append(event)
-
-    def on_queue_depth(self, event: QueueDepth) -> None:
-        """Record an end-of-slot backlog sample."""
-        self.queue_samples.append(event)
+    def on_event(self, event) -> None:
+        """Record lifecycle and cache events in :attr:`events`, queue
+        samples in :attr:`queue_samples`; ignore the other kinds."""
+        sink = self._sinks.get(type(event))
+        if sink is not None:
+            sink.append(event)
 
     def clear(self) -> None:
         """Drop everything recorded so far."""

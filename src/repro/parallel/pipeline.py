@@ -31,7 +31,7 @@ from typing import Callable, Optional, Set
 
 from ..core.fastplan import FramePlan, PlanCache, compile_frame_plan
 from ..core.multicast import MulticastAssignment
-from ..obs.events import ParallelEvent
+from ..obs.events import ParallelEvent, emit
 from .workers import WorkerPool
 
 __all__ = ["CompileAheadPipeline"]
@@ -109,7 +109,8 @@ class CompileAheadPipeline:
         obs = self.observer
         if obs is None or not obs.enabled:
             return
-        obs.on_parallel(
+        emit(
+            obs,
             ParallelEvent(
                 action=action,
                 kind="compile",
@@ -117,7 +118,7 @@ class CompileAheadPipeline:
                 busy=self.pool.busy,
                 queue_depth=self._pending,
                 t_ns=perf_counter_ns(),
-            )
+            ),
         )
 
     # -- the pipeline ----------------------------------------------------

@@ -21,7 +21,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from time import perf_counter_ns
 from typing import Callable, Optional
 
-from ..obs.events import ParallelEvent
+from ..obs.events import ParallelEvent, emit
 
 __all__ = ["WorkerPool"]
 
@@ -87,12 +87,13 @@ class WorkerPool:
 
     def _run(self, kind: str, fn: Callable, args, kwargs):
         obs = self.observer
-        emit = obs is not None and obs.enabled
+        observed = obs is not None and obs.enabled
         with self._lock:
             self._busy += 1
             busy = self._busy
-        if emit:
-            obs.on_parallel(
+        if observed:
+            emit(
+                obs,
                 ParallelEvent(
                     action="start",
                     kind=kind,
@@ -100,7 +101,7 @@ class WorkerPool:
                     busy=busy,
                     queue_depth=self._depth(),
                     t_ns=perf_counter_ns(),
-                )
+                ),
             )
         try:
             return fn(*args, **kwargs)
@@ -108,8 +109,9 @@ class WorkerPool:
             with self._lock:
                 self._busy -= 1
                 busy = self._busy
-            if emit:
-                obs.on_parallel(
+            if observed:
+                emit(
+                    obs,
                     ParallelEvent(
                         action="done",
                         kind=kind,
@@ -117,7 +119,7 @@ class WorkerPool:
                         busy=busy,
                         queue_depth=self._depth(),
                         t_ns=perf_counter_ns(),
-                    )
+                    ),
                 )
 
     def shutdown(self, wait: bool = True) -> None:

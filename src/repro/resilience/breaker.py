@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import Dict, Optional
 
-from ..obs.events import ResilienceEvent
+from ..obs.events import ResilienceEvent, emit
 
 __all__ = ["BreakerState", "BreakerPolicy", "CircuitBreaker"]
 
@@ -168,10 +168,11 @@ class CircuitBreaker:
         obs = self.observer
         if obs is None or not obs.enabled:
             return
-        obs.on_resilience(
+        emit(
+            obs,
             ResilienceEvent(
                 action=action, scope=self.scope, t_ns=perf_counter_ns()
-            )
+            ),
         )
 
     def snapshot(self) -> Dict[str, object]:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 from time import perf_counter_ns
 from typing import Dict, Optional
 
-from ..obs.events import ResilienceEvent
+from ..obs.events import ResilienceEvent, emit
 
 __all__ = ["AdmissionPolicy", "AdmissionGate", "ShedFrame"]
 
@@ -218,12 +218,13 @@ class AdmissionGate:
         obs = self.observer
         if obs is None or not obs.enabled:
             return
-        obs.on_resilience(
+        emit(
+            obs,
             ResilienceEvent(
                 action=action,
                 priority=priority,
                 tokens=self.tokens if math.isfinite(self.tokens) else -1.0,
                 queue_depth=queue_depth,
                 t_ns=perf_counter_ns(),
-            )
+            ),
         )

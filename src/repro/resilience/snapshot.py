@@ -44,7 +44,7 @@ from typing import Dict, List, Optional
 
 from ..core.multicast import MulticastAssignment
 from ..errors import ReproError
-from ..obs.events import ResilienceEvent
+from ..obs.events import ResilienceEvent, emit
 
 __all__ = ["FabricSnapshot"]
 
@@ -53,10 +53,11 @@ _FORMAT_VERSION = 1
 
 def _emit(observer, action: str, frames: int) -> None:
     if observer is not None and observer.enabled:
-        observer.on_resilience(
+        emit(
+            observer,
             ResilienceEvent(
                 action=action, frames=frames, t_ns=perf_counter_ns()
-            )
+            ),
         )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import threading
 from typing import List, Optional
 
 import pytest
@@ -10,6 +11,24 @@ from hypothesis import strategies as st
 
 from repro.core.multicast import MulticastAssignment
 from repro.core.tags import Tag
+from repro.obs import Observer
+
+
+class EventRecorder(Observer):
+    """Records every event it receives, in order (thread-safe)."""
+
+    def __init__(self):
+        self.events = []
+        self._lock = threading.Lock()
+
+    def on_event(self, event):
+        with self._lock:
+            self.events.append(event)
+
+    def of(self, *kinds):
+        """The recorded events of the given classes, in order."""
+        with self._lock:
+            return [e for e in self.events if isinstance(e, kinds)]
 
 
 def make_random_assignment(n: int, rng: random.Random) -> MulticastAssignment:

@@ -5,27 +5,25 @@ import json
 import pytest
 
 from repro.control import ControlPlane, ControlPolicy, SignalAggregator
-from repro.obs import MetricsObserver, Observer
-from repro.obs.events import FaultEvent, FrameDone, ResilienceEvent
+from repro.obs import MetricsObserver
+from repro.obs.events import (
+    ControlEvent,
+    FaultEvent,
+    FrameDone,
+    ResilienceEvent,
+    emit,
+)
 from repro.core.fastplan import PlanCache
 from repro.parallel import CompileAheadPipeline, WorkerPool
 from repro.resilience import AdmissionGate, AdmissionPolicy
 from repro.faults import RetryPolicy
 
-
-class RecordingObserver(Observer):
-    """Collects every ControlEvent it receives."""
-
-    def __init__(self):
-        self.events = []
-
-    def on_control(self, event):
-        self.events.append(event)
+from conftest import EventRecorder
 
 
 def shed_high(aggregator, count=1):
     for _ in range(count):
-        aggregator.on_resilience(ResilienceEvent(action="shed", priority=1))
+        emit(aggregator, ResilienceEvent(action="shed", priority=1))
 
 
 class TestSignalAggregator:
@@ -36,11 +34,11 @@ class TestSignalAggregator:
 
     def test_counts_fold_into_current_bucket(self):
         agg = SignalAggregator(4)
-        agg.on_frame_done(FrameDone(frame_id=1, deliveries=3, frames=2))
-        agg.on_resilience(ResilienceEvent(action="admitted", priority=1))
-        agg.on_resilience(ResilienceEvent(action="shed", priority=0))
-        agg.on_fault(FaultEvent(action="retry"))
-        agg.on_fault(FaultEvent(action="lost", terminals=(3, 5)))
+        emit(agg, FrameDone(frame_id=1, deliveries=3, frames=2))
+        emit(agg, ResilienceEvent(action="admitted", priority=1))
+        emit(agg, ResilienceEvent(action="shed", priority=0))
+        emit(agg, FaultEvent(action="retry"))
+        emit(agg, FaultEvent(action="lost", terminals=(3, 5)))
         agg.close_tick(queue_depth=7)
         w = agg.window()
         assert w.ticks == 1 and w.frames == 2
@@ -51,7 +49,7 @@ class TestSignalAggregator:
     def test_window_slides(self):
         agg = SignalAggregator(2)
         for depth in (1, 2, 3):
-            agg.on_resilience(ResilienceEvent(action="shed", priority=1))
+            emit(agg, ResilienceEvent(action="shed", priority=1))
             agg.close_tick(queue_depth=depth)
         w = agg.window()
         assert w.ticks == 2        # oldest bucket evicted
@@ -79,12 +77,12 @@ class TestTickCadence:
         assert plane.tick_count == 1
 
     def test_tick_events_reach_the_owner_observer(self):
-        rec = RecordingObserver()
+        rec = EventRecorder()
         plane = ControlPlane(ControlPolicy(), observer=rec)
         plane.tick()
-        assert [e.action for e in rec.events] == ["tick"]
-        assert rec.events[0].tick == 1
-        assert rec.events[0].t_ns > 0
+        assert [e.action for e in rec.of(ControlEvent)] == ["tick"]
+        assert rec.of(ControlEvent)[0].tick == 1
+        assert rec.of(ControlEvent)[0].t_ns > 0
 
 
 class TestGateActuation:
@@ -195,13 +193,13 @@ class TestDecisionLog:
         assert doc["decisions"] == plane.decision_log()
 
     def test_adjust_events_mirror_the_log(self):
-        rec = RecordingObserver()
+        rec = EventRecorder()
         gate = AdmissionGate(AdmissionPolicy(rate=1.0, burst=8.0))
         plane = ControlPlane(ControlPolicy(), observer=rec)
         plane.bind(gate=gate)
         shed_high(plane.signals)
         plane.tick(queue_depth=0)
-        adjusts = [e for e in rec.events if e.action == "adjust"]
+        adjusts = [e for e in rec.of(ControlEvent) if e.action == "adjust"]
         log = plane.decision_log()
         assert len(adjusts) == len(log)
         for event, entry in zip(adjusts, log):

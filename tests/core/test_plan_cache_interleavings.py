@@ -12,19 +12,12 @@ import json
 
 from repro.core import MulticastAssignment, PlanCache, compile_frame_plan
 from repro.core.serialization import assignment_fingerprint
-from repro.obs import Observer
+
+from conftest import EventRecorder
 
 
 def _asg(n, dests):
     return MulticastAssignment.from_dict(n, dests)
-
-
-class _CacheRecorder(Observer):
-    def __init__(self):
-        self.events = []
-
-    def on_cache_event(self, event):
-        self.events.append((event.kind, event.key, event.size))
 
 
 def _trace(cache, rec, assignments):
@@ -32,12 +25,12 @@ def _trace(cache, rec, assignments):
     start = len(rec.events)
     for a in assignments:
         cache.get(a, compile_fn=compile_frame_plan)
-    return [(k, key) for k, key, _ in rec.events[start:]]
+    return [(e.kind, e.key) for e in rec.events[start:]]
 
 
 class TestEvictionInterleavings:
     def setup_method(self):
-        self.rec = _CacheRecorder()
+        self.rec = EventRecorder()
         self.cache = PlanCache(maxsize=2, observer=self.rec)
         self.a = _asg(8, {0: [0, 1]})
         self.b = _asg(8, {1: [2, 3]})
@@ -84,7 +77,7 @@ class TestEvictionInterleavings:
     def test_event_sizes_track_occupancy(self):
         for a in (self.a, self.b, self.c):
             self.cache.get(a, compile_fn=compile_frame_plan)
-        sizes = [size for _, _, size in self.rec.events]
+        sizes = [e.size for e in self.rec.events]
         # miss events fire before insertion; evict after removal.
         assert sizes == [0, 1, 2, 2]
 
@@ -93,20 +86,20 @@ class TestEvictionInterleavings:
         self.cache.get(
             self.a, compile_fn=compile_frame_plan, extra_key="variant"
         )
-        kinds = [k for k, _ in plain] + [self.rec.events[-1][0]]
+        kinds = [k for k, _ in plain] + [self.rec.events[-1].kind]
         assert kinds == ["miss", "miss"]
-        assert self.rec.events[-1][1] == f"{self.fa}@variant"
+        assert self.rec.events[-1].key == f"{self.fa}@variant"
         # And each key now hits independently.
         self.cache.get(self.a, compile_fn=compile_frame_plan)
         self.cache.get(
             self.a, compile_fn=compile_frame_plan, extra_key="variant"
         )
-        assert [k for k, _, _ in self.rec.events[-2:]] == ["hit", "hit"]
+        assert [e.kind for e in self.rec.events[-2:]] == ["hit", "hit"]
 
     def test_clear_resets_counters_and_emits(self):
         _trace(self.cache, self.rec, [self.a, self.a])
         self.cache.clear()
-        assert self.rec.events[-1][0] == "clear"
+        assert self.rec.events[-1].kind == "clear"
         assert len(self.cache) == 0
         assert self.cache.hits == 0 and self.cache.misses == 0
 

@@ -8,25 +8,13 @@ import time
 
 import pytest
 
-from conftest import make_random_assignment
+from conftest import EventRecorder, make_random_assignment
 from repro.core.fastplan import PlanCache, compile_frame_plan
 from repro.core.serialization import assignment_fingerprint
-from repro.obs.events import Observer
 
 
-class Recorder(Observer):
-    """Collects cache events (thread-safely) for assertions."""
-
-    def __init__(self):
-        self.events = []
-        self._lock = threading.Lock()
-
-    def on_cache_event(self, event):
-        with self._lock:
-            self.events.append(event)
-
-    def kinds(self):
-        return [e.kind for e in self.events]
+def kinds(recorder):
+    return [e.kind for e in recorder.events]
 
 
 def assignment(n=16, seed=0):
@@ -35,7 +23,7 @@ def assignment(n=16, seed=0):
 
 class TestSingleFlight:
     def test_concurrent_misses_compile_exactly_once(self):
-        obs = Recorder()
+        obs = EventRecorder()
         cache = PlanCache(maxsize=8, observer=obs)
         a = assignment(seed=1)
         entered = threading.Event()
@@ -76,7 +64,7 @@ class TestSingleFlight:
         assert sorted(hit for _, hit in results) == [False] + [True] * 7
         assert cache.hit_rate == pytest.approx(7 / 8)
         # One CacheEvent per lookup: the leader's miss, 7 coalesced.
-        assert sorted(obs.kinds()) == ["coalesced"] * 7 + ["miss"]
+        assert sorted(kinds(obs)) == ["coalesced"] * 7 + ["miss"]
 
     def test_coalesced_waiters_reraise_leader_failure_then_retry(self):
         cache = PlanCache(maxsize=8)
@@ -148,7 +136,7 @@ class TestSingleFlight:
 
 class TestCacheSemantics:
     def test_hit_miss_counters_and_event_order(self):
-        obs = Recorder()
+        obs = EventRecorder()
         cache = PlanCache(maxsize=8, observer=obs)
         a, b = assignment(seed=4), assignment(seed=5)
         _, hit = cache.get(a)
@@ -158,7 +146,7 @@ class TestCacheSemantics:
         cache.get(b)
         assert (cache.hits, cache.misses, cache.coalesced) == (1, 2, 0)
         assert cache.hit_rate == pytest.approx(1 / 3)
-        assert obs.kinds() == ["miss", "hit", "miss"]
+        assert kinds(obs) == ["miss", "hit", "miss"]
         # Miss events snapshot the pre-insert size, hits the current.
         assert [e.size for e in obs.events] == [0, 1, 1]
 
@@ -169,14 +157,14 @@ class TestCacheSemantics:
         assert len(cache) == 8
 
     def test_clear_resets_everything(self):
-        obs = Recorder()
+        obs = EventRecorder()
         cache = PlanCache(maxsize=8, observer=obs)
         cache.get(assignment(seed=9))
         cache.get(assignment(seed=9))
         cache.clear()
         assert len(cache) == 0
         assert (cache.hits, cache.misses, cache.coalesced) == (0, 0, 0)
-        assert obs.kinds()[-1] == "clear"
+        assert kinds(obs)[-1] == "clear"
 
     def test_validation(self):
         with pytest.raises(ValueError):

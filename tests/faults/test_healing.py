@@ -12,17 +12,9 @@ from repro.faults import (
     RetryPolicy,
     route_with_healing,
 )
-from repro.obs import Observer
+from repro.obs import FaultEvent
 
-from conftest import make_random_assignment
-
-
-class _Recorder(Observer):
-    def __init__(self):
-        self.events = []
-
-    def on_fault(self, event):
-        self.events.append(event)
+from conftest import EventRecorder, make_random_assignment
 
 
 class TestRetryPolicy:
@@ -159,28 +151,28 @@ class TestHealingEvents:
         plan = FaultPlan.single_switch(
             n, kind=FaultKind.DEAD_SWITCH, level=4, index=0
         )
-        rec = _Recorder()
+        rec = EventRecorder()
         cfg = NetworkConfig(n, fault_plan=plan, observer=rec)
         result = route_resilient(cfg, {3: [0, 1, 2, 3]})
-        actions = [e.action for e in rec.events]
+        actions = [e.action for e in rec.of(FaultEvent)]
         # One detected + retry pair per repair pass.
         assert actions.count("detected") == result.attempts - 1
         assert actions.count("retry") == result.attempts - 1
         assert "lost" in actions
-        lost_event = next(e for e in rec.events if e.action == "lost")
+        lost_event = next(e for e in rec.of(FaultEvent) if e.action == "lost")
         assert lost_event.terminals == (0, 1)
 
     def test_recovered_event_names_terminals(self):
         plan = FaultPlan.single_switch(
             16, kind=FaultKind.FLAKY_LINK, level=3, index=0
         )
-        rec = _Recorder()
+        rec = EventRecorder()
         cfg = NetworkConfig(16, engine="fast", fault_plan=plan, observer=rec)
         result = route_resilient(
             cfg, {0: [0, 1, 2, 3], 5: [8, 9], 12: [12, 15]}
         )
         assert result.recovered == (0, 1)
-        recovered = [e for e in rec.events if e.action == "recovered"]
+        recovered = [e for e in rec.of(FaultEvent) if e.action == "recovered"]
         assert recovered and recovered[-1].terminals == (0, 1)
 
 

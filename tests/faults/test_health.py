@@ -19,8 +19,10 @@ from repro.faults import (
     PlaneState,
     RetryPolicy,
 )
-from repro.obs import Observer
+from repro.obs import FaultEvent
 from repro.workloads import random_multicast
+
+from conftest import EventRecorder
 
 
 class TestHealthTracker:
@@ -72,14 +74,6 @@ class TestHealthTracker:
             HealthTracker(probe_frames=0)
 
 
-class _Recorder(Observer):
-    def __init__(self):
-        self.events = []
-
-    def on_fault(self, event):
-        self.events.append(event)
-
-
 def _degrading_plan(n=16):
     """A plan that reliably degrades broadcast-heavy frames."""
     return FaultPlan.single_switch(
@@ -99,7 +93,7 @@ class TestFabricHealth:
 
     def test_quarantine_then_standby_then_readmit(self):
         n = 16
-        rec = _Recorder()
+        rec = EventRecorder()
         fabric = MulticastFabric(
             NetworkConfig(n, fault_plan=_degrading_plan(n), observer=rec),
             health=HealthTracker(
@@ -122,7 +116,7 @@ class TestFabricHealth:
         fabric.submit(frame)
         fabric.submit(frame)
         assert fabric.health.state is PlaneState.PROBATION
-        actions = [e.action for e in rec.events]
+        actions = [e.action for e in rec.of(FaultEvent)]
         assert "quarantined" in actions and "probation" in actions
 
     def test_fault_losses_never_raise_even_strict(self):

@@ -13,9 +13,9 @@ import pytest
 
 from repro.core import MulticastAssignment, NetworkConfig, build_network
 from repro.faults import FaultKind, FaultPlan
-from repro.obs import Observer
+from repro.obs import FaultEvent
 
-from conftest import make_random_assignment
+from conftest import EventRecorder, make_random_assignment
 
 
 def _payloads(n):
@@ -194,14 +194,6 @@ class TestEmptyPlanIsIdentity:
             assert empty.fault_casualties == []
 
 
-class _Recorder(Observer):
-    def __init__(self):
-        self.events = []
-
-    def on_fault(self, event):
-        self.events.append(event)
-
-
 class TestInjectedEvents:
     @pytest.mark.parametrize("engine", ["reference", "fast"])
     def test_injected_event_per_hit(self, engine):
@@ -209,12 +201,12 @@ class TestInjectedEvents:
         plan = FaultPlan.single_switch(
             n, kind=FaultKind.DEAD_SWITCH, level=3, index=0
         )
-        rec = _Recorder()
+        rec = EventRecorder()
         net = build_network(
             NetworkConfig(n, engine=engine, fault_plan=plan, observer=rec)
         )
         net.route(_asg(n, {0: [0, 1]}), payloads=_payloads(n))
-        injected = [e for e in rec.events if e.action == "injected"]
+        injected = [e for e in rec.of(FaultEvent) if e.action == "injected"]
         assert len(injected) == 1
         (event,) = injected
         assert event.kind == "dead_switch"
@@ -226,12 +218,12 @@ class TestInjectedEvents:
         plan = FaultPlan.single_switch(
             n, kind=FaultKind.DEAD_SWITCH, level=3, index=3
         )
-        rec = _Recorder()
+        rec = EventRecorder()
         net = build_network(
             NetworkConfig(n, engine="fast", fault_plan=plan, observer=rec)
         )
         net.route(_asg(n, {0: [0, 1]}), payloads=_payloads(n))
-        assert [e for e in rec.events if e.action == "injected"] == []
+        assert [e for e in rec.of(FaultEvent) if e.action == "injected"] == []
 
 
 class TestPlanCacheKeying:

@@ -227,3 +227,50 @@ class TestQueueDepth:
             mo.registry.get("repro_queue_depth").value()
             == float(report.backlog_per_slot[-1])
         )
+
+
+class _RaisesOnFrameDone(Observer):
+    def on_event(self, event):
+        if isinstance(event, FrameDone):
+            raise RuntimeError("observer bug")
+
+
+class TestObserverFailureIsolation:
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_raising_observer_does_not_break_submit(self, engine):
+        bad = _RaisesOnFrameDone()
+        fabric = MulticastFabric(NetworkConfig(8, engine=engine, observer=bad))
+        result = fabric.submit(paper_example_assignment())
+        assert result.delivered
+        assert fabric.stats.frames == 1
+        assert bad.errors == 1
+
+    def test_only_the_first_failure_is_logged(self, caplog):
+        bad = _RaisesOnFrameDone()
+        fabric = MulticastFabric(NetworkConfig(8, observer=bad))
+        fabric.submit(paper_example_assignment())
+        fabric.submit(paper_example_assignment())
+        assert bad.errors == 2
+        (record,) = caplog.records
+        assert record.exc_info[0] is RuntimeError
+
+    def test_raising_leg_does_not_starve_the_others(self):
+        bad, mo = _RaisesOnFrameDone(), MetricsObserver()
+        comp = CompositeObserver(bad, mo)
+        MulticastFabric(NetworkConfig(8, observer=comp)).submit(
+            paper_example_assignment()
+        )
+        frames = mo.registry.get("repro_frames_total")
+        assert frames.value(engine="reference", mode="selfrouting") == 1.0
+        assert (bad.errors, mo.errors, comp.errors) == (1, 0, 0)
+
+
+class TestRemovedHooks:
+    def test_old_style_subclass_fails_loudly(self):
+        for hook in (
+            "on_frame_start", "on_level", "on_frame_done", "on_cache_event",
+            "on_queue_depth", "on_fault", "on_parallel", "on_resilience",
+            "on_control", "on_cluster",
+        ):
+            with pytest.raises(TypeError, match="on_event"):
+                type("OldStyle", (Observer,), {hook: lambda self, e: None})

@@ -16,6 +16,8 @@ from repro.core.config import NetworkConfig
 from repro.obs import NullSink, Observer
 from repro.workloads.random_assignments import random_multicast
 
+from conftest import EventRecorder
+
 
 def _min_of_k(fn, k=7, warmup=2):
     for _ in range(warmup):
@@ -44,30 +46,13 @@ class TestNullSinkOverhead:
         )
 
     def test_disabled_observer_sees_no_events(self):
-        class Recording(NullSink):
-            """Disabled observer that would notice any emission."""
-
-            def __init__(self):
-                self.called = False
-
-            def on_frame_start(self, event):
-                self.called = True
-
-            def on_level(self, event):
-                self.called = True
-
-            def on_frame_done(self, event):
-                self.called = True
-
-            def on_cache_event(self, event):
-                self.called = True
-
-        rec = Recording()
+        rec = EventRecorder()  # records every on_event call
+        rec.enabled = False
         net = BRSMN(NetworkConfig(16, engine="fast", observer=rec))
         a = random_multicast(16, load=1.0, seed=1)
         net.route(a)
         net.route_batch(a, np.arange(3 * 16).reshape(3, 16).astype(object))
-        assert rec.called is False
+        assert rec.events == []
 
     def test_enabled_base_observer_costs_only_dispatch(self):
         """An enabled no-op Observer routes correctly (sanity, not perf)."""

@@ -8,20 +8,10 @@ import time
 
 import pytest
 
-from conftest import make_random_assignment
+from conftest import EventRecorder, make_random_assignment
 from repro.core.fastplan import PlanCache, compile_frame_plan
-from repro.obs.events import Observer
+from repro.obs.events import ParallelEvent
 from repro.parallel import CompileAheadPipeline, WorkerPool
-
-
-class ParallelRecorder(Observer):
-    def __init__(self):
-        self.parallel = []
-        self._lock = threading.Lock()
-
-    def on_parallel(self, event):
-        with self._lock:
-            self.parallel.append(event)
 
 
 def assignment(seed, n=16):
@@ -53,7 +43,7 @@ def test_full_queue_drops_instead_of_blocking():
         assert release.wait(timeout=10)
         return compile_frame_plan(asg)
 
-    obs = ParallelRecorder()
+    obs = EventRecorder()
     with WorkerPool(1, observer=obs) as pool:
         pipe = CompileAheadPipeline(
             cache, pool, depth=2, compile_fn=slow_compile, observer=obs
@@ -68,11 +58,11 @@ def test_full_queue_drops_instead_of_blocking():
         pipe.drain()
         assert pipe.queue_depth == 0
         assert not cache.contains(assignment(4))
-        actions = [e.action for e in obs.parallel if e.kind == "compile"]
+        actions = [e.action for e in obs.of(ParallelEvent) if e.kind == "compile"]
         assert actions.count("enqueue") == 2
         assert actions.count("drop") == 1
         # The pipeline registered itself as the pool's depth source.
-        starts = [e for e in obs.parallel if e.action == "start"]
+        starts = [e for e in obs.of(ParallelEvent) if e.action == "start"]
         assert starts and all(e.workers == 1 for e in starts)
 
 

@@ -155,6 +155,22 @@ class TestRemovedParallelSurface:
             net.close()
 
 
+class TestObserverProtocol:
+    def test_one_hook(self):
+        from repro.obs import Observer
+
+        assert callable(Observer.on_event)
+        assert [n for n in dir(Observer) if n.startswith("on_")] == [
+            "on_event"
+        ]
+        for name in (
+            "on_frame_start", "on_level", "on_frame_done", "on_cache_event",
+            "on_queue_depth", "on_fault", "on_parallel", "on_resilience",
+            "on_control", "on_cluster",
+        ):
+            assert not hasattr(Observer, name), name
+
+
 class TestDocstringCoverage:
     def test_every_public_callable_documented(self):
         """Deliverable (e): doc comments on every public item."""
